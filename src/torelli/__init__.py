@@ -9,15 +9,14 @@ symmetric three-point configuration homology.
 
 from .exterior import (Multivector, Sym2Element, SymplecticSpace, Vector,
                        as_rational, contraction3, delta, intersection,
-                       is_primitive, primitive_basis, primitive_rank,
-                       primitive_rank_two_ways, project_primitive, sym_product,
-                       wedge)
-from .forms import Transvection, apply_transvection, omega3, phi, q2
+                       is_primitive, primitive_basis, primitive_rank_two_ways,
+                       project_primitive, sym_product, wedge)
+from .forms import Transvection, omega3, phi, q2
 from .johnson import (FIXTURE_NAMES, BoundingPairSpec, Fixture,
                       InvalidBoundingPair, InvalidSubsurface,
-                      JohnsonIdentityError, SubsurfaceSpec,
+                      JohnsonIdentityError, JohnsonPair, SubsurfaceSpec,
                       bounding_pair_action_matrix, builtin_fixture,
-                      johnson_bp, johnson_element)
+                      johnson_bp, johnson_element, johnson_pair)
 from .h3model import (DEFAULT_KAPPA2, WEIGHT_TAGS, DimensionAudit,
                       GradedH3Element, TorelliParams, act, dimension_audit,
                       lift_tube, variation)
@@ -34,13 +33,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Multivector", "Sym2Element", "SymplecticSpace", "Vector", "as_rational",
     "contraction3", "delta", "intersection", "is_primitive", "primitive_basis",
-    "primitive_rank", "primitive_rank_two_ways", "project_primitive",
-    "sym_product", "wedge",
-    "Transvection", "apply_transvection", "omega3", "phi", "q2",
+    "primitive_rank_two_ways", "project_primitive", "sym_product", "wedge",
+    "Transvection", "omega3", "phi", "q2",
     "FIXTURE_NAMES", "BoundingPairSpec", "Fixture", "InvalidBoundingPair",
-    "InvalidSubsurface", "JohnsonIdentityError", "SubsurfaceSpec",
+    "InvalidSubsurface", "JohnsonIdentityError", "JohnsonPair", "SubsurfaceSpec",
     "bounding_pair_action_matrix", "builtin_fixture", "johnson_bp",
-    "johnson_element",
+    "johnson_element", "johnson_pair",
     "DEFAULT_KAPPA2", "WEIGHT_TAGS", "DimensionAudit", "GradedH3Element",
     "TorelliParams", "act", "dimension_audit", "lift_tube", "variation",
     "ParseError", "parse_multivector", "parse_rational", "parse_sym2",

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .exterior import (Multivector, SymplecticSpace, Vector, contraction3,
                        delta, intersection, is_primitive, primitive_basis,
-                       primitive_rank_two_ways, project_primitive, sym_product,
-                       wedge)
+                       project_primitive, sym_product, wedge)
 from .forms import Transvection, omega3, phi, q2
-from .h3model import GradedH3Element, TorelliParams, act, lift_tube, variation
-from .johnson import (BoundingPairSpec, SubsurfaceSpec, builtin_fixture,
-                      johnson_bp, johnson_element)
-from .linalg import is_identity, mat_mul, rank_of_rows
+from .h3model import (GradedH3Element, TorelliParams, act, dimension_audit,
+                      lift_tube, variation)
+from .johnson import (BoundingPairSpec, SubsurfaceSpec,
+                      bounding_pair_action_matrix, builtin_fixture, johnson_bp,
+                      johnson_element, johnson_pair)
+from .linalg import is_identity, rank_of_rows
 from .render import parse_multivector, parse_sym2, parse_vector, render_canonical
 from .report import Verdict
 
@@ -210,8 +211,8 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
     out.append(_verdict("projector-kills-contraction", kills))
     out.append(_verdict("splitting-reconstructs", recon))
 
-    r1, r2 = primitive_rank_two_ways(space)
-    expected = comb(space.dim, 3) - space.dim
+    audit = dimension_audit(space)
+    r1, r2, expected = audit.projector_rank, audit.isotropic_rank, audit.quotient_dim
     out.append(_verdict("primitive-rank-two-ways", r1 == r2 == expected,
                         f"projector {r1}, isotropic span {r2}, count {expected}"))
 
@@ -289,10 +290,9 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
 
     ok = True
     for _ in range(rounds):
-        b = random_bounding_pair(space, rng)
-        j1, j2 = johnson_element(b.side1), johnson_element(b.side2)
-        ok = ok and j1 - j2 == wedge(b.side1.d, delta(space))
-        ok = ok and is_primitive(johnson_bp(b))
+        pair = johnson_pair(random_bounding_pair(space, rng))
+        ok = (ok and pair.cross_side_identity and pair.projections_agree
+              and is_primitive(pair.primitive1))
     out.append(_verdict("johnson-cross-side-identity", ok))
 
     ok = True
@@ -313,9 +313,7 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
     ok = True
     for _ in range(rounds):
         b = random_bounding_pair(space, rng)
-        t1 = Transvection(b.side1.d)
-        t2 = Transvection(b.side2.d)
-        ok = ok and is_identity(mat_mul(t1.matrix(), t2.matrix(inverse=True)))
+        ok = ok and is_identity(bounding_pair_action_matrix(b))
     single = Transvection(space.b(1)).matrix()
     out.append(_verdict("bounding-pair-trivial-on-homology",
                         ok and not is_identity(single),

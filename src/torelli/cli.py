@@ -12,18 +12,17 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from math import comb
 
 from .checks import run_invariant_checks
 from .config import ConfigError, JobConfig, config_from_fixture, parse_config
 from .exterior import (Multivector, SymplecticSpace, contraction3, delta,
-                       is_primitive, primitive_rank_two_ways, project_primitive,
-                       wedge)
-from .forms import Transvection, omega3, phi, q2
-from .h3model import DEFAULT_KAPPA2, GradedH3Element, TorelliParams, act
+                       is_primitive, project_primitive, wedge)
+from .forms import omega3, phi, q2
+from .h3model import (DEFAULT_KAPPA2, GradedH3Element, TorelliParams, act,
+                      dimension_audit)
 from .johnson import (FIXTURE_NAMES, InvalidBoundingPair, InvalidSubsurface,
-                      johnson_element)
-from .linalg import is_identity, mat_mul
+                      bounding_pair_action_matrix, johnson_element, johnson_pair)
+from .linalg import is_identity
 from .render import ParseError, render_canonical
 from .report import ReportDocument, Verdict
 
@@ -125,43 +124,36 @@ def _run_forms(cfg: JobConfig) -> ReportDocument:
 
 
 def _johnson_pair_body(cfg: JobConfig, report: ReportDocument):
-    """Shared by johnson and act: compute both sides and the identity verdicts.
+    """Shared by johnson and act: render the pair's record and its verdicts.
 
     Returns the primitive Johnson element, or None when the cross-side
     identity fails (the verdicts then record the failure).
     """
-    space = cfg.require_space()
     name = _arg(cfg, "pair")
     if name not in cfg.pairs:
         raise ConfigError(f"unknown boundingpair {name!r} (from args.pair)")
     b = cfg.pairs[name]
-    j1 = johnson_element(b.side1)
-    j2 = johnson_element(b.side2)
-    dd = wedge(b.side1.d, delta(space))
-    identity = j1 - j2 == dd
-    p1 = project_primitive(j1)
-    p2 = project_primitive(j2)
-    mat = mat_mul(Transvection(b.side1.d).matrix(),
-                  Transvection(b.side2.d).matrix(inverse=True))
+    jp = johnson_pair(b)
     report.inputs.update({
         "pair": name,
         "boundary": render_canonical(b.side1.d),
         "side_genera": [b.side1.genus, b.side2.genus],
     })
     report.outputs.update({
-        "side1_element": render_canonical(j1),
-        "side2_element": render_canonical(j2),
-        "d_wedge_delta": render_canonical(dd),
-        "johnson": render_canonical(p1),
+        "side1_element": render_canonical(jp.side1),
+        "side2_element": render_canonical(jp.side2),
+        "d_wedge_delta": render_canonical(jp.d_wedge_delta),
+        "johnson": render_canonical(jp.primitive1),
     })
     report.verdicts.extend([
-        Verdict("johnson-cross-side-identity", identity,
+        Verdict("johnson-cross-side-identity", jp.cross_side_identity,
                 "j(side1) - j(side2) = d ^ delta"),
-        Verdict("johnson-projections-agree", p1 == p2),
-        Verdict("johnson-element-primitive", is_primitive(p1)),
-        Verdict("bounding-pair-trivial-on-homology", is_identity(mat)),
+        Verdict("johnson-projections-agree", jp.projections_agree),
+        Verdict("johnson-element-primitive", is_primitive(jp.primitive1)),
+        Verdict("bounding-pair-trivial-on-homology",
+                is_identity(bounding_pair_action_matrix(b))),
     ])
-    return b, (p1 if identity and p1 == p2 else None)
+    return jp.primitive1 if jp.cross_side_identity and jp.projections_agree else None
 
 
 def _run_johnson(cfg: JobConfig) -> ReportDocument:
@@ -194,7 +186,7 @@ def _run_act(cfg: JobConfig) -> ReportDocument:
         raise ConfigError(f"multivector {tname!r} is not primitive; "
                           "decompose it first and act with the primitive part")
     report.inputs = {"top": tname, "top_value": render_canonical(top)}
-    _, j = _johnson_pair_body(cfg, report)
+    j = _johnson_pair_body(cfg, report)
     if j is None:
         report.outputs["classification"] = "UNDEFINED"
         return report
@@ -218,25 +210,15 @@ def _run_act(cfg: JobConfig) -> ReportDocument:
 
 
 def _run_audit(cfg: JobConfig) -> ReportDocument:
-    space = cfg.require_space()
     report = _new_report(cfg)
-    g = space.genus
-    r1, r2 = primitive_rank_two_ways(space)
-    expected = comb(space.dim, 3) - space.dim
-    sub = 1 + g * (2 * g + 1)
+    a = dimension_audit(cfg.require_space())
     report.inputs = {}
-    report.outputs = {
-        "sub_dim": sub,
-        "quotient_dim": expected,
-        "total_dim": sub + expected,
-        "projector_rank": r1,
-        "isotropic_rank": r2,
-    }
+    report.outputs = {k: v for k, v in a.as_dict().items() if k != "genus"}
     report.verdicts = [
-        Verdict("primitive-rank-two-ways-agree", r1 == r2,
-                f"projector {r1}, isotropic span {r2}"),
-        Verdict("primitive-rank-matches-count", r1 == expected,
-                f"C(2g,3) - 2g = {expected}"),
+        Verdict("primitive-rank-two-ways-agree", a.projector_rank == a.isotropic_rank,
+                f"projector {a.projector_rank}, isotropic span {a.isotropic_rank}"),
+        Verdict("primitive-rank-matches-count", a.projector_rank == a.quotient_dim,
+                f"C(2g,3) - 2g = {a.quotient_dim}"),
     ]
     return report
 
@@ -288,10 +270,8 @@ def build_config(command: str, config_path: str | None = None,
     if genus is not None:
         if cfg.genus is not None and cfg.genus != genus:
             raise ConfigError(f"--genus {genus} conflicts with configured genus {cfg.genus}")
-        cfg.genus = genus
         cfg.space = SymplecticSpace(genus)
-    if cfg.genus is None:
-        cfg.genus = 3
+    if cfg.space is None:
         cfg.space = SymplecticSpace(3)
     if seed is not None:
         cfg.seed = seed

@@ -35,7 +35,6 @@ class ConfigError(ValueError):
 class JobConfig:
     """Everything a single CLI run needs, fully resolved."""
 
-    genus: int | None = None
     command: str | None = None
     seed: int = 0
     kappa1: Fraction | None = None
@@ -47,6 +46,10 @@ class JobConfig:
     pairs: dict[str, BoundingPairSpec] = field(default_factory=dict)
     args: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def genus(self) -> int | None:
+        return self.space.genus if self.space is not None else None
+
     def require_space(self) -> SymplecticSpace:
         if self.space is None:
             raise ConfigError("no genus given (set `genus = ...` or use a fixture)")
@@ -56,7 +59,7 @@ class JobConfig:
 def config_from_fixture(name: str) -> JobConfig:
     """Seed a JobConfig with a built-in fixture's named objects."""
     fx: Fixture = builtin_fixture(name)
-    cfg = JobConfig(genus=fx.space.genus, space=fx.space)
+    cfg = JobConfig(space=fx.space)
     cfg.vectors.update(fx.vectors)
     cfg.multivectors.update(fx.multivectors)
     cfg.subsurfaces.update(fx.subsurfaces)
@@ -275,7 +278,6 @@ def parse_config(text: str, base: JobConfig | None = None) -> JobConfig:
                 cfg.space = SymplecticSpace(genus)
             except ValueError as exc:
                 raise ConfigError(str(exc), lineno) from None
-            cfg.genus = genus
         elif key == "command":
             cfg.command = value.strip()
         elif key == "seed":

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import comb
 
 from .linalg import independent_row_indices, rank_of_rows
 
@@ -149,37 +148,46 @@ class Vector:
         return all(c == 0 for c in self.coords)
 
     def to_multivector(self) -> Multivector:
-        terms = {(i,): c for i, c in enumerate(self.coords) if c}
-        return Multivector(self.space, 1, terms)
+        return _multivector(self.space, 1,
+                            {(i,): c for i, c in enumerate(self.coords) if c})
 
 
-class Multivector:
+class _Sparse:
+    """Arithmetic shared by the sparse classes; `terms` is in normal form.
+
+    A subclass supplies `_like(terms)`, which wraps a normal-form dict
+    with the same space (and degree) without re-validating it.
+    """
+
+    __slots__ = ("space", "terms")
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        s = as_rational(scalar)
+        if not s:
+            return self._like({})
+        return self._like({k: s * c for k, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class Multivector(_Sparse):
     """Sparse element of the degree-k exterior power, k in {1, 2, 3}."""
 
-    __slots__ = ("space", "degree", "terms")
+    __slots__ = ("degree",)
 
     def __init__(self, space: SymplecticSpace, degree: int, terms=None):
         if degree not in (1, 2, 3):
             raise ValueError(f"degree must be 1, 2 or 3, got {degree}")
-        normal: dict[tuple[int, ...], Fraction] = {}
-        for indices, coeff in (terms or {}).items():
-            indices = tuple(indices)
-            if len(indices) != degree:
-                raise ValueError(f"term {indices} has wrong arity for degree {degree}")
-            for i in indices:
-                if not 0 <= i < space.dim:
-                    raise ValueError(f"basis index {i} out of range for dimension {space.dim}")
-            if len(set(indices)) < degree:
-                continue  # repeated slot, the term is zero
-            sign, key = _sort_with_sign(indices)
-            c = normal.get(key, Fraction(0)) + sign * as_rational(coeff)
-            if c:
-                normal[key] = c
-            else:
-                normal.pop(key, None)
         self.space = space
         self.degree = degree
-        self.terms = normal
+        self.terms = _add_into({}, _normal_wedge_terms(space, degree, terms or {}))
 
     @classmethod
     def zero(cls, space: SymplecticSpace, degree: int) -> Multivector:
@@ -189,6 +197,9 @@ class Multivector:
     def basis(cls, space: SymplecticSpace, indices) -> Multivector:
         indices = tuple(indices)
         return cls(space, len(indices), {indices: Fraction(1)})
+
+    def _like(self, terms) -> Multivector:
+        return _multivector(self.space, self.degree, terms)
 
     def __eq__(self, other):
         return (isinstance(other, Multivector) and other.space == self.space
@@ -201,28 +212,7 @@ class Multivector:
         _same_space(self, other, Multivector)
         if other.degree != self.degree:
             raise ValueError(f"cannot add degrees {self.degree} and {other.degree}")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Multivector(self.space, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Multivector(self.space, self.degree,
-                           {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        s = as_rational(scalar)
-        if not s:
-            return Multivector.zero(self.space, self.degree)
-        return Multivector(self.space, self.degree,
-                           {k: s * c for k, c in self.terms.items()})
+        return self._like(_add_into(dict(self.terms), other.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -230,9 +220,6 @@ class Multivector:
         body = " ".join(f"{c}*{'^'.join(self.space.label(i) for i in k)}"
                         for k, c in sorted(self.terms.items()))
         return f"Multivector(g={self.space.genus}, deg={self.degree}, {body})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
@@ -258,30 +245,21 @@ class Multivector:
         return [self.terms.get(t, Fraction(0)) for t in self.space.basis_tuples(self.degree)]
 
 
-class Sym2Element:
+class Sym2Element(_Sparse):
     """Sparse element of the symmetric square; keys are pairs (i, j) with i <= j."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
 
     def __init__(self, space: SymplecticSpace, terms=None):
-        normal: dict[tuple[int, int], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            i, j = key
-            if not (0 <= i < space.dim and 0 <= j < space.dim):
-                raise ValueError(f"basis index pair {key} out of range")
-            if i > j:
-                i, j = j, i
-            c = normal.get((i, j), Fraction(0)) + as_rational(coeff)
-            if c:
-                normal[(i, j)] = c
-            else:
-                normal.pop((i, j), None)
         self.space = space
-        self.terms = normal
+        self.terms = _add_into({}, _normal_sym2_terms(space, terms or {}))
 
     @classmethod
     def zero(cls, space: SymplecticSpace) -> Sym2Element:
         return cls(space, {})
+
+    def _like(self, terms) -> Sym2Element:
+        return _sym2(self.space, terms)
 
     def __eq__(self, other):
         return (isinstance(other, Sym2Element) and other.space == self.space
@@ -292,26 +270,7 @@ class Sym2Element:
 
     def __add__(self, other):
         _same_space(self, other, Sym2Element)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Sym2Element(self.space, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Sym2Element(self.space, {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        s = as_rational(scalar)
-        if not s:
-            return Sym2Element.zero(self.space)
-        return Sym2Element(self.space, {k: s * c for k, c in self.terms.items()})
+        return self._like(_add_into(dict(self.terms), other.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -321,8 +280,60 @@ class Sym2Element:
             for (i, j), c in sorted(self.terms.items()))
         return f"Sym2Element(g={self.space.genus}, {body})"
 
-    def is_zero(self) -> bool:
-        return not self.terms
+
+def _add_into(out: dict, items) -> dict:
+    """Add (key, coefficient) pairs with normalized keys into out, in place.
+
+    A coefficient that cancels drops its key, so a dict in normal form
+    stays in normal form.  This is the one merge loop of the sparse classes.
+    """
+    for key, c in items:
+        old = out.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            out[key] = c
+        elif old is not None:
+            del out[key]
+    return out
+
+
+def _multivector(space: SymplecticSpace, degree: int, terms: dict) -> Multivector:
+    """Wrap a dict already in normal form; no validation, no copy."""
+    x = object.__new__(Multivector)
+    x.space, x.degree, x.terms = space, degree, terms
+    return x
+
+
+def _sym2(space: SymplecticSpace, terms: dict) -> Sym2Element:
+    """Wrap a dict already in normal form; no validation, no copy."""
+    x = object.__new__(Sym2Element)
+    x.space, x.terms = space, terms
+    return x
+
+
+def _normal_wedge_terms(space: SymplecticSpace, degree: int, terms):
+    """Validate outside terms and yield them with sorted keys and signed coefficients."""
+    for indices, coeff in terms.items():
+        indices = tuple(indices)
+        if len(indices) != degree:
+            raise ValueError(f"term {indices} has wrong arity for degree {degree}")
+        for i in indices:
+            if not 0 <= i < space.dim:
+                raise ValueError(f"basis index {i} out of range for dimension {space.dim}")
+        if len(set(indices)) < degree:
+            continue  # repeated slot, the term is zero
+        sign, key = _sort_with_sign(indices)
+        yield key, sign * as_rational(coeff)
+
+
+def _normal_sym2_terms(space: SymplecticSpace, terms):
+    """Validate outside terms and yield them with keys (i, j), i <= j."""
+    for key, coeff in terms.items():
+        i, j = key
+        if not (0 <= i < space.dim and 0 <= j < space.dim):
+            raise ValueError(f"basis index pair {key} out of range")
+        yield ((i, j) if i <= j else (j, i)), as_rational(coeff)
 
 
 def _same_space(x, y, cls):
@@ -352,22 +363,16 @@ def intersection(u: Vector, v: Vector) -> Fraction:
 def sym_product(u: Vector, v: Vector) -> Sym2Element:
     """Symmetric product uv in the symmetric square."""
     _same_space(u, v, Vector)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for i, x in enumerate(u.coords):
-        if not x:
-            continue
-        for j, y in enumerate(v.coords):
-            if not y:
-                continue
-            key = (i, j) if i <= j else (j, i)
-            terms[key] = terms.get(key, Fraction(0)) + x * y
-    return Sym2Element(u.space, terms)
+    products = (((i, j) if i <= j else (j, i), x * y)
+                for i, x in enumerate(u.coords) if x
+                for j, y in enumerate(v.coords) if y)
+    return _sym2(u.space, _add_into({}, products))
 
 
 def delta(space: SymplecticSpace) -> Multivector:
     """The pairing-representative 2-form sum of a_i ^ b_i."""
     g = space.genus
-    return Multivector(space, 2, {(i, g + i): Fraction(1) for i in range(g)})
+    return _multivector(space, 2, {(i, g + i): Fraction(1) for i in range(g)})
 
 
 def _as_multivector(x) -> Multivector:
@@ -390,21 +395,18 @@ def wedge(x, y, *more) -> Multivector:
     degree = x.degree + y.degree
     if degree > 3:
         raise ValueError(f"degree overflow: {x.degree} + {y.degree} > 3")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for s, c in x.terms.items():
-        for t, d in y.terms.items():
-            if set(s) & set(t):
+    return _multivector(x.space, degree, _add_into({}, _wedge_terms(x.terms, y.terms)))
+
+
+def _wedge_terms(xs: dict, ys: dict):
+    """Products of two normal-form term dicts, with sorted keys and merge signs."""
+    for s, c in xs.items():
+        for t, d in ys.items():
+            if not set(s).isdisjoint(t):
                 continue
             # both factors sorted, so the merge sign counts crossings only
             crossings = sum(1 for p in s for q in t if p > q)
-            sign = (-1) ** crossings
-            key = tuple(sorted(s + t))
-            v = terms.get(key, Fraction(0)) + sign * c * d
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-    return Multivector(x.space, degree, terms)
+            yield tuple(sorted(s + t)), (-c * d if crossings % 2 else c * d)
 
 
 def contraction3(x: Multivector) -> Vector:
@@ -460,17 +462,6 @@ def primitive_rank_two_ways(space: SymplecticSpace) -> tuple[int, int]:
                       for t in space.basis_tuples(3)]
     isotropic_rows = [w.dense() for w in isotropic_spanning_wedges(space)]
     return rank_of_rows(projector_rows), rank_of_rows(isotropic_rows)
-
-
-def primitive_rank(space: SymplecticSpace) -> int:
-    """Dimension of the primitive summand; both internal computations must agree."""
-    r1, r2 = primitive_rank_two_ways(space)
-    expected = comb(space.dim, 3) - space.dim
-    if not (r1 == r2 == expected):
-        raise RuntimeError(
-            f"primitive rank computations disagree: projector {r1}, "
-            f"isotropic span {r2}, dimension count {expected}")
-    return r1
 
 
 def isotropic_spanning_wedges(space: SymplecticSpace) -> list[Multivector]:

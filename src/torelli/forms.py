@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import (Multivector, Sym2Element, Vector, _same_space,
-                       intersection, sym_product, wedge)
+from .exterior import (Multivector, Sym2Element, Vector, _add_into,
+                       _multivector, _same_space, _sym2, intersection,
+                       sym_product, wedge)
 
 
 def _check_degree(x, degree: int, name: str):
@@ -69,8 +70,12 @@ def phi(s: Multivector, t: Multivector) -> Sym2Element:
     _check_degree(s, 3, "phi")
     _check_degree(t, 3, "phi")
     _same_space(s, t, Multivector)
+    return _sym2(s.space, _add_into({}, _phi_terms(s, t)))
+
+
+def _phi_terms(s: Multivector, t: Multivector):
+    """The (key, coefficient) contributions of every pair of terms to phi(s, t)."""
     pairing = s.space.basis_pairing
-    terms: dict[tuple[int, int], Fraction] = {}
     for u, c in s.terms.items():
         for v, d in t.terms.items():
             for i in range(3):
@@ -79,15 +84,8 @@ def phi(s: Multivector, t: Multivector) -> Sym2Element:
                     vj, vj1, vj2 = v[j], v[(j + 1) % 3], v[(j + 2) % 3]
                     qf = (pairing(ui, vj) * pairing(ui1, vj1)
                           - pairing(ui, vj1) * pairing(ui1, vj))
-                    if not qf:
-                        continue
-                    key = (ui2, vj2) if ui2 <= vj2 else (vj2, ui2)
-                    w = terms.get(key, Fraction(0)) + c * d * qf
-                    if w:
-                        terms[key] = w
-                    else:
-                        terms.pop(key, None)
-    return Sym2Element(s.space, terms)
+                    if qf:
+                        yield (ui2, vj2) if ui2 <= vj2 else (vj2, ui2), c * d * qf
 
 
 class Transvection:
@@ -116,8 +114,8 @@ class Transvection:
             return v
         return v - s * self.direction if inverse else v + s * self.direction
 
-    def _basis_images(self, inverse: bool) -> list[Multivector]:
-        return [self.apply_vector(self.space.basis_vector(i), inverse).to_multivector()
+    def _basis_images(self, inverse: bool) -> list[Vector]:
+        return [self.apply_vector(self.space.basis_vector(i), inverse)
                 for i in range(self.space.dim)]
 
     def apply(self, x, inverse: bool = False):
@@ -125,31 +123,26 @@ class Transvection:
         if isinstance(x, Vector):
             return self.apply_vector(x, inverse)
         if isinstance(x, Multivector):
-            images = self._basis_images(inverse)
-            out = Multivector.zero(x.space, x.degree)
+            images = [v.to_multivector() for v in self._basis_images(inverse)]
+            out: dict = {}
             for indices, c in x.terms.items():
                 factor = images[indices[0]]
                 for i in indices[1:]:
                     factor = wedge(factor, images[i])
-                out = out + c * factor
-            return out
+                _add_into(out, ((k, c * v) for k, v in factor.terms.items()))
+            return _multivector(x.space, x.degree, out)
         if isinstance(x, Sym2Element):
-            vecs = [self.apply_vector(self.space.basis_vector(i), inverse)
-                    for i in range(self.space.dim)]
-            out = Sym2Element.zero(x.space)
+            vecs = self._basis_images(inverse)
+            out = {}
             for (i, j), c in x.terms.items():
-                out = out + c * sym_product(vecs[i], vecs[j])
-            return out
+                product = sym_product(vecs[i], vecs[j])
+                _add_into(out, ((k, c * v) for k, v in product.terms.items()))
+            return _sym2(x.space, out)
         raise TypeError(f"cannot apply a transvection to {type(x).__name__}")
 
     def matrix(self, inverse: bool = False) -> list[list[Fraction]]:
         """Matrix of the action on the space; entry [i][j] is coord i of T(e_j)."""
-        cols = [self.apply_vector(self.space.basis_vector(j), inverse)
-                for j in range(self.space.dim)]
+        cols = self._basis_images(inverse)
         return [[cols[j].coords[i] for j in range(self.space.dim)]
                 for i in range(self.space.dim)]
 
-
-def apply_transvection(t: Transvection, x):
-    """Module-level alias for Transvection.apply."""
-    return t.apply(x)

@@ -10,6 +10,7 @@ two sides must agree on.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (Multivector, SymplecticSpace, Vector, delta,
@@ -120,22 +121,48 @@ def johnson_element(s: SubsurfaceSpec) -> Multivector:
     return wedge(s.d, s.pairing_form()) if s.pairs else Multivector.zero(s.space, 3)
 
 
+@dataclass(frozen=True)
+class JohnsonPair:
+    """Both sides' Johnson elements of a bounding pair, d ^ delta, and the
+    primitive projection of each side."""
+
+    side1: Multivector
+    side2: Multivector
+    d_wedge_delta: Multivector
+    primitive1: Multivector
+    primitive2: Multivector
+
+    @property
+    def cross_side_identity(self) -> bool:
+        """j(side1) - j(side2) = d ^ delta; per-side constraints alone do not force it."""
+        return self.side1 - self.side2 == self.d_wedge_delta
+
+    @property
+    def projections_agree(self) -> bool:
+        return self.primitive1 == self.primitive2
+
+
+def johnson_pair(b: BoundingPairSpec) -> JohnsonPair:
+    """Every quantity of the cross-side identity, unchecked."""
+    j1 = johnson_element(b.side1)
+    j2 = johnson_element(b.side2)
+    return JohnsonPair(j1, j2, wedge(b.side1.d, delta(b.space)),
+                       project_primitive(j1), project_primitive(j2))
+
+
 def johnson_bp(b: BoundingPairSpec) -> Multivector:
     """Primitive Johnson element of a bounding pair.
 
-    Checks the cross-side identity j(side1) - j(side2) = d ^ delta
-    before projecting; per-side constraints alone do not force it.
+    Raises JohnsonIdentityError unless the cross-side identity holds
+    and both sides project to the same primitive element.
     """
-    j1 = johnson_element(b.side1)
-    j2 = johnson_element(b.side2)
-    if j1 - j2 != wedge(b.side1.d, delta(b.space)):
+    pair = johnson_pair(b)
+    if not pair.cross_side_identity:
         raise JohnsonIdentityError(
             "side data is inconsistent: j(side1) - j(side2) != d ^ delta")
-    p1 = project_primitive(j1)
-    p2 = project_primitive(j2)
-    if p1 != p2:
+    if not pair.projections_agree:
         raise JohnsonIdentityError("sides project to different primitive elements")
-    return p1
+    return pair.primitive1
 
 
 def bounding_pair_action_matrix(b: BoundingPairSpec) -> list[list[Fraction]]:

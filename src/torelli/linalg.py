@@ -50,10 +50,6 @@ def rank_of_rows(rows: list[list[Fraction]]) -> int:
     return len(independent_row_indices(rows))
 
 
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(r) == k for r in a)

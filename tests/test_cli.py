@@ -57,6 +57,18 @@ class TestExitCodes:
         assert "FAIL johnson-cross-side-identity" in out
         assert out.endswith("status: FAIL\n")
 
+    def test_act_on_broken_pair_is_undefined(self, capsys, tmp_path):
+        """No Johnson element exists, so there is no variation to report."""
+        path = tmp_path / "broken.cfg"
+        path.write_text(BROKEN_PAIR)
+        code, out, err = run(capsys, "act", "--config", str(path))
+        assert code == 1
+        assert err == ""
+        assert "classification: UNDEFINED" in out
+        assert "FAIL johnson-cross-side-identity" in out
+        assert "variation" not in out
+        assert out.endswith("status: FAIL\n")
+
     def test_input_errors_are_two(self, capsys, tmp_path):
         cases = [
             ("act", "--fixture", "no-such-fixture"),
@@ -148,6 +160,35 @@ class TestCommands:
         assert "PASS johnson-respec-invariant" in out
         assert "PASS phi-transvection-equivariant" in out
         assert out.endswith("status: PASS\n")
+
+
+class TestRankDisagreement:
+    """Disagreeing primitive ranks fail verdicts; the report is still printed."""
+
+    @pytest.fixture(autouse=True)
+    def disagreeing_ranks(self, monkeypatch):
+        monkeypatch.setattr(torelli.h3model, "primitive_rank_two_ways",
+                            lambda space: (13, 14))
+
+    def test_audit_fails_both_verdicts(self, capsys):
+        code, out, err = run(capsys, "audit", "--genus", "3")
+        assert code == 1
+        assert err == ""
+        assert "projector_rank: 13" in out
+        assert "isotropic_rank: 14" in out
+        assert "quotient_dim: 14" in out
+        assert "FAIL primitive-rank-two-ways-agree" in out
+        assert "FAIL primitive-rank-matches-count" in out
+        assert out.endswith("status: FAIL\n")
+
+    def test_invariants_fails_rank_check(self, capsys, tmp_path):
+        path = tmp_path / "one.cfg"
+        path.write_text("[args]\nrounds = 1\n")
+        code, out, _ = run(capsys, "invariants", "--genus", "3", "--config", str(path))
+        assert code == 1
+        assert ("FAIL primitive-rank-two-ways  "
+                "(projector 13, isotropic span 14, count 14)") in out
+        assert "PASS omega3-primitive-gram-rank" in out
 
 
 class TestReports:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import oracle_contraction3, oracle_vector_wedge
 from torelli import (Multivector, Sym2Element, SymplecticSpace, Vector,
                      contraction3, delta, intersection, is_primitive,
-                     primitive_basis, primitive_rank, primitive_rank_two_ways,
+                     primitive_basis, primitive_rank_two_ways,
                      project_primitive, sym_product, wedge)
 from torelli.exterior import isotropic_spanning_wedges
 
@@ -310,7 +310,6 @@ class TestPrimitiveRank:
             sp = SymplecticSpace(g)
             r1, r2 = primitive_rank_two_ways(sp)
             assert r1 == r2 == expected == comb(2 * g, 3) - 2 * g
-            assert primitive_rank(sp) == expected
 
     def test_primitive_basis_spans(self):
         sp = SymplecticSpace(3)

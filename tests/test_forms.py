@@ -10,10 +10,9 @@ import pytest
 from conftest import (oracle_omega3, oracle_phi_decomposables,
                       oracle_q2_vectors)
 from test_exterior import rand_mv, rand_vector
-from torelli import (Multivector, SymplecticSpace, Transvection,
-                     apply_transvection, delta, intersection, omega3, phi,
-                     primitive_basis, project_primitive, q2, sym_product,
-                     wedge)
+from torelli import (Multivector, SymplecticSpace, Transvection, delta,
+                     intersection, omega3, phi, primitive_basis,
+                     project_primitive, q2, sym_product, wedge)
 from torelli.linalg import is_identity, mat_mul, rank_of_rows
 
 
@@ -188,9 +187,3 @@ class TestTransvection:
         for _ in range(10):
             t = Transvection(sp.a(1) + rand_vector(sp, rng))
             assert t.apply(delta(sp)) == delta(sp)
-
-    def test_apply_transvection_alias(self):
-        sp = SymplecticSpace(2)
-        t = Transvection(sp.a(1))
-        x = wedge(sp.a(1), sp.b(1))
-        assert apply_transvection(t, x) == t.apply(x)

@@ -11,7 +11,7 @@ from torelli import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                      JohnsonIdentityError, SubsurfaceSpec, SymplecticSpace,
                      bounding_pair_action_matrix, builtin_fixture,
                      contraction3, delta, is_primitive, johnson_bp,
-                     johnson_element, project_primitive, wedge)
+                     johnson_element, johnson_pair, project_primitive, wedge)
 from torelli.checks import random_bounding_pair, respecify
 from torelli.johnson import FIXTURE_NAMES
 from torelli.linalg import is_identity
@@ -124,6 +124,17 @@ class TestJohnsonBP:
         b = BoundingPairSpec(s1, s2)
         with pytest.raises(JohnsonIdentityError, match="d \\^ delta"):
             johnson_bp(b)
+        assert not johnson_pair(b).cross_side_identity
+
+    def test_pair_record_on_fixture(self):
+        b = builtin_fixture("paper-figure-1").pairs["bp"]
+        sp = b.space
+        pair = johnson_pair(b)
+        assert pair.side1 == wedge(sp.a(1), sp.a(2), sp.b(2))
+        assert pair.side2 == wedge(-sp.a(1), sp.a(3), sp.b(3))
+        assert pair.d_wedge_delta == wedge(sp.a(1), delta(sp))
+        assert pair.cross_side_identity and pair.projections_agree
+        assert pair.primitive1 == pair.primitive2 == johnson_bp(b)
 
     def test_primitive_and_projection_consistent(self):
         rng = random.Random(41)
