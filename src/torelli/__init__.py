@@ -10,7 +10,7 @@ symmetric three-point configuration homology.
 from .exterior import (Multivector, Sym2Element, SymplecticSpace, Vector,
                        as_rational, contraction3, delta, intersection,
                        is_primitive, primitive_basis, primitive_rank_two_ways,
-                       project_primitive, sym_product, wedge)
+                       project_primitive, split_primitive, sym_product, wedge)
 from .forms import Transvection, omega3, phi, q2
 from .johnson import (FIXTURE_NAMES, BoundingPairSpec, Fixture,
                       InvalidBoundingPair, InvalidSubsurface,
@@ -33,7 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Multivector", "Sym2Element", "SymplecticSpace", "Vector", "as_rational",
     "contraction3", "delta", "intersection", "is_primitive", "primitive_basis",
-    "primitive_rank_two_ways", "project_primitive", "sym_product", "wedge",
+    "primitive_rank_two_ways", "project_primitive", "split_primitive",
+    "sym_product", "wedge",
     "Transvection", "omega3", "phi", "q2",
     "FIXTURE_NAMES", "BoundingPairSpec", "Fixture", "InvalidBoundingPair",
     "InvalidSubsurface", "JohnsonIdentityError", "JohnsonPair", "SubsurfaceSpec",

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .checks import run_invariant_checks
 from .config import ConfigError, JobConfig, config_from_fixture, parse_config
-from .exterior import (Multivector, SymplecticSpace, contraction3, delta,
-                       is_primitive, project_primitive, wedge)
+from .exterior import (Multivector, SymplecticSpace, contraction3, is_primitive,
+                       project_primitive, split_primitive)
 from .forms import omega3, phi, q2
 from .h3model import (DEFAULT_KAPPA2, GradedH3Element, TorelliParams, act,
                       dimension_audit)
@@ -62,19 +62,14 @@ def _new_report(cfg: JobConfig) -> ReportDocument:
 
 
 def _run_decompose(cfg: JobConfig) -> ReportDocument:
-    space = cfg.require_space()
     report = _new_report(cfg)
     name, x = _named_multivector(cfg, "input", 3)
-    c = contraction3(x)
-    w = Fraction(1, space.genus - 1) * c
-    prim = project_primitive(x)
-    residual = wedge(delta(space), w.to_multivector()) if not w.is_zero() \
-        else Multivector.zero(space, 3)
+    prim, w, residual = split_primitive(x)
     if x.is_zero():
         kind = "ZERO"
     elif prim.is_zero():
         kind = "IN-DELTA-V"
-    elif c.is_zero():
+    elif w.is_zero():
         kind = "PRIMITIVE"
     else:
         kind = "MIXED"

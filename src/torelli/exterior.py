@@ -81,7 +81,7 @@ class SymplecticSpace:
     def basis_vector(self, i: int) -> Vector:
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
-        return Vector(self, coords)
+        return _vector(self, tuple(coords))
 
     def a(self, handle: int) -> Vector:
         """The handle-th a-basis vector, 1-indexed."""
@@ -99,7 +99,7 @@ class SymplecticSpace:
         return Vector(self, coords)
 
     def zero_vector(self) -> Vector:
-        return Vector(self, [Fraction(0)] * self.dim)
+        return _vector(self, (Fraction(0),) * self.dim)
 
     def basis_tuples(self, degree: int) -> list[tuple[int, ...]]:
         """All strictly increasing index tuples of the given degree, lexicographic."""
@@ -127,18 +127,18 @@ class Vector:
 
     def __add__(self, other):
         _same_space(self, other, Vector)
-        return Vector(self.space, [x + y for x, y in zip(self.coords, other.coords)])
+        return _vector(self.space, tuple(x + y for x, y in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         _same_space(self, other, Vector)
-        return Vector(self.space, [x - y for x, y in zip(self.coords, other.coords)])
+        return _vector(self.space, tuple(x - y for x, y in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return Vector(self.space, [-x for x in self.coords])
+        return _vector(self.space, tuple(-x for x in self.coords))
 
     def __rmul__(self, scalar):
         s = as_rational(scalar)
-        return Vector(self.space, [s * x for x in self.coords])
+        return _vector(self.space, tuple(s * x for x in self.coords))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coords)
@@ -238,7 +238,7 @@ class Multivector(_Sparse):
         coords = [Fraction(0)] * self.space.dim
         for (i,), c in self.terms.items():
             coords[i] = c
-        return Vector(self.space, coords)
+        return _vector(self.space, tuple(coords))
 
     def dense(self) -> list[Fraction]:
         """Coefficients over the lexicographic basis-tuple order of this degree."""
@@ -296,6 +296,13 @@ def _add_into(out: dict, items) -> dict:
         elif old is not None:
             del out[key]
     return out
+
+
+def _vector(space: SymplecticSpace, coords: tuple) -> Vector:
+    """Wrap a tuple of space.dim Fractions; no validation, no copy."""
+    v = object.__new__(Vector)
+    v.space, v.coords = space, coords
+    return v
 
 
 def _multivector(space: SymplecticSpace, degree: int, terms: dict) -> Multivector:
@@ -429,20 +436,28 @@ def contraction3(x: Multivector) -> Vector:
         pki = space.basis_pairing(k, i)
         if pki:
             coords[j] += c * pki
-    return Vector(space, coords)
+    return _vector(space, tuple(coords))
+
+
+def split_primitive(x: Multivector) -> tuple[Multivector, Vector, Multivector]:
+    """The splitting x = p + delta ^ w of a 3-form, as (p, w, delta ^ w).
+
+    p is primitive and w = contraction3(x) / (g-1); the constant is forced
+    by contraction3(delta ^ v) = (g-1) v.  One contraction, one wedge.
+    """
+    w = Fraction(1, x.space.genus - 1) * contraction3(x)
+    if w.is_zero():
+        return x, w, _multivector(x.space, 3, {})
+    dw = wedge(delta(x.space), w)
+    return x - dw, w, dw
 
 
 def project_primitive(x: Multivector) -> Multivector:
     """Projection onto the primitive summand of the third exterior power.
 
-    Kills delta ^ V and fixes the kernel of contraction3; the constant
-    1/(g-1) is forced by contraction3(delta ^ v) = (g-1) v.
+    Kills delta ^ V and fixes the kernel of contraction3.
     """
-    c = contraction3(x)
-    if c.is_zero():
-        return x
-    scale = Fraction(1, x.space.genus - 1)
-    return x - scale * wedge(delta(x.space), c)
+    return split_primitive(x)[0]
 
 
 def is_primitive(x: Multivector) -> bool:
@@ -458,9 +473,9 @@ def primitive_rank_two_ways(space: SymplecticSpace) -> tuple[int, int]:
     pairwise-isotropic triples built from basis vectors and two-term
     sums of them.  Neither computation assumes the other's answer.
     """
-    projector_rows = [project_primitive(Multivector.basis(space, t)).dense()
+    projector_rows = [project_primitive(Multivector.basis(space, t)).terms
                       for t in space.basis_tuples(3)]
-    isotropic_rows = [w.dense() for w in isotropic_spanning_wedges(space)]
+    isotropic_rows = [w.terms for w in isotropic_spanning_wedges(space)]
     return rank_of_rows(projector_rows), rank_of_rows(isotropic_rows)
 
 
@@ -491,5 +506,4 @@ def primitive_basis(space: SymplecticSpace) -> list[Multivector]:
     """A basis of the primitive summand, extracted from projector images."""
     images = [project_primitive(Multivector.basis(space, t))
               for t in space.basis_tuples(3)]
-    rows = [x.dense() for x in images]
-    return [images[i] for i in independent_row_indices(rows)]
+    return [images[i] for i in independent_row_indices([x.terms for x in images])]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import (Multivector, Sym2Element, Vector, _add_into,
-                       _multivector, _same_space, _sym2, intersection,
+                       _multivector, _same_space, _sym2, _vector, intersection,
                        sym_product, wedge)
 
 
@@ -112,7 +112,10 @@ class Transvection:
         s = intersection(v, self.direction)
         if not s:
             return v
-        return v - s * self.direction if inverse else v + s * self.direction
+        if inverse:
+            s = -s
+        return _vector(self.space, tuple(x + s * d for x, d in
+                                         zip(v.coords, self.direction.coords)))
 
     def _basis_images(self, inverse: bool) -> list[Vector]:
         return [self.apply_vector(self.space.basis_vector(i), inverse)

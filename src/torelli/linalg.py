@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Just enough for the rank computations and matrix identities used
-elsewhere: no pivoting heuristics, no floats, matrices are lists of
-lists of Fraction and never large (at most a few hundred columns).
+Elimination works on sparse rows: a row is a dict {column key: Fraction}
+with mutually orderable keys, or a dense sequence of Fraction, which is
+read as the dict of its nonzero entries keyed by position.
+Pivots are kept in row echelon form on the smallest key of each row, so
+the kept row indices are the greedy in-order maximal independent set,
+whatever the column order.  mat_mul and is_identity take small dense
+matrices, lists of lists of Fraction.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -10,42 +14,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _reduce_against(pivots: dict[int, list[Fraction]], row: list[Fraction]):
-    """Reduce row against an echelon set; return (lead, normalized row) or None.
-
-    pivots maps a leading column to a row normalized to have a 1 there.
-    """
-    row = list(row)
-    while True:
-        lead = None
-        for j, v in enumerate(row):
-            if v:
-                lead = j
-                break
-        if lead is None:
-            return None
-        if lead not in pivots:
-            inv = Fraction(1, 1) / row[lead]
-            return lead, [v * inv for v in row]
-        p = pivots[lead]
-        f = row[lead]
-        row = [v - f * w for v, w in zip(row, p)]
-
-
-def independent_row_indices(rows: list[list[Fraction]]) -> list[int]:
+def independent_row_indices(rows: list) -> list[int]:
     """Indices of a maximal linearly independent subset, greedily in order."""
-    pivots: dict[int, list[Fraction]] = {}
+    pivots: dict = {}  # lead key -> row normalized to 1 there, all other keys larger
     kept = []
     for i, row in enumerate(rows):
-        hit = _reduce_against(pivots, row)
-        if hit is not None:
-            lead, reduced = hit
-            pivots[lead] = reduced
-            kept.append(i)
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {k: v for k, v in items if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = Fraction(1) / row[lead]
+                pivots[lead] = {k: v * inv for k, v in row.items()}
+                kept.append(i)
+                break
+            f = row[lead]
+            for k, v in pivot.items():
+                c = row.get(k, 0) - f * v
+                if c:
+                    row[k] = c
+                else:
+                    del row[k]
     return kept
 
 
-def rank_of_rows(rows: list[list[Fraction]]) -> int:
+def rank_of_rows(rows: list) -> int:
     """Exact rank of the row span."""
     return len(independent_row_indices(rows))
 

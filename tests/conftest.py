@@ -117,3 +117,28 @@ def oracle_phi_decomposables(us: tuple[Vector, Vector, Vector],
                     else:
                         terms.pop(key, None)
     return terms
+
+
+def oracle_independent_rows(rows: list[list[Fraction]]) -> list[int]:
+    """Greedy in-order independent rows of a dense matrix, by a separate route.
+
+    Keeps a list of (pivot column, row) pairs.  Each kept row was reduced
+    against every earlier pair on its pivot column, so it is zero on all
+    earlier pivot columns; reducing a candidate against the pairs in
+    insertion order therefore clears every pivot column.  A candidate
+    that is left nonzero is independent and pivots on its largest
+    nonzero column (the library pivots on the smallest).
+    """
+    basis: list[tuple[int, list[Fraction]]] = []
+    kept = []
+    for i, row in enumerate(rows):
+        r = [Fraction(v) for v in row]
+        for col, b in basis:
+            if r[col]:
+                f = r[col] / b[col]
+                r = [x - f * y for x, y in zip(r, b)]
+        nonzero = [j for j, x in enumerate(r) if x]
+        if nonzero:
+            basis.append((nonzero[-1], r))
+            kept.append(i)
+    return kept

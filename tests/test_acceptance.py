@@ -119,12 +119,12 @@ def test_criterion_04_splitting_correctness():
 
 def test_criterion_05_dimension_audit():
     def check():
-        for g, expected in ((2, 0), (3, 14), (4, 48)):
+        for g, expected in ((2, 0), (3, 14), (4, 48), (6, 208), (8, 544)):
             sp = SymplecticSpace(g)
             r1, r2 = primitive_rank_two_ways(sp)
             assert r1 == r2 == expected == comb(2 * g, 3) - 2 * g
 
-    _report(5, "primitive rank 0/14/48 at g=2/3/4, two independent computations",
+    _report(5, "primitive rank 0/14/48/208/544 at g=2/3/4/6/8, two independent computations",
             check, limit=10.0)
 
 

@@ -14,7 +14,7 @@ from conftest import oracle_contraction3, oracle_vector_wedge
 from torelli import (Multivector, Sym2Element, SymplecticSpace, Vector,
                      contraction3, delta, intersection, is_primitive,
                      primitive_basis, primitive_rank_two_ways,
-                     project_primitive, sym_product, wedge)
+                     project_primitive, split_primitive, sym_product, wedge)
 from torelli.exterior import isotropic_spanning_wedges
 
 
@@ -288,6 +288,7 @@ class TestProjector:
             p = project_primitive(x)
             w = Fraction(1, sp.genus - 1) * contraction3(x)
             assert p + wedge(delta(sp), w) == x
+            assert split_primitive(x) == (p, w, wedge(delta(sp), w))
             # the complement piece determines w: delta ^ w = 0 forces w = 0
             if not w.is_zero():
                 assert not wedge(delta(sp), w).is_zero()
