@@ -16,7 +16,8 @@ from .johnson import (FIXTURE_NAMES, BoundingPairSpec, Fixture,
                       InvalidBoundingPair, InvalidSubsurface,
                       JohnsonIdentityError, JohnsonPair, SubsurfaceSpec,
                       bounding_pair_action_matrix, builtin_fixture,
-                      johnson_bp, johnson_element, johnson_pair)
+                      canonical_split, johnson_bp, johnson_element,
+                      johnson_pair)
 from .h3model import (DEFAULT_KAPPA2, WEIGHT_TAGS, DimensionAudit,
                       GradedH3Element, TorelliParams, act, dimension_audit,
                       lift_tube, variation)
@@ -38,8 +39,8 @@ __all__ = [
     "Transvection", "omega3", "phi", "q2",
     "FIXTURE_NAMES", "BoundingPairSpec", "Fixture", "InvalidBoundingPair",
     "InvalidSubsurface", "JohnsonIdentityError", "JohnsonPair", "SubsurfaceSpec",
-    "bounding_pair_action_matrix", "builtin_fixture", "johnson_bp",
-    "johnson_element", "johnson_pair",
+    "bounding_pair_action_matrix", "builtin_fixture", "canonical_split",
+    "johnson_bp", "johnson_element", "johnson_pair",
     "DEFAULT_KAPPA2", "WEIGHT_TAGS", "DimensionAudit", "GradedH3Element",
     "TorelliParams", "act", "dimension_audit", "lift_tube", "variation",
     "ParseError", "parse_multivector", "parse_rational", "parse_sym2",

@@ -13,13 +13,15 @@ from math import gcd
 
 from .exterior import (Multivector, SymplecticSpace, Vector, contraction3,
                        delta, intersection, is_primitive, primitive_basis,
-                       project_primitive, sym_product, wedge)
+                       project_primitive, split_primitive, sym_product,
+                       wedge)
 from .forms import Transvection, omega3, phi, q2
 from .h3model import (GradedH3Element, TorelliParams, act, dimension_audit,
                       lift_tube, variation)
 from .johnson import (BoundingPairSpec, SubsurfaceSpec,
-                      bounding_pair_action_matrix, builtin_fixture, johnson_bp,
-                      johnson_element, johnson_pair)
+                      bounding_pair_action_matrix, builtin_fixture,
+                      canonical_split, johnson_bp, johnson_element,
+                      johnson_pair)
 from .linalg import is_identity, rank_of_rows
 from .render import parse_multivector, parse_sym2, parse_vector, render_canonical
 from .report import Verdict
@@ -33,13 +35,6 @@ def random_vector(space: SymplecticSpace, rng: random.Random,
         den = rng.randint(1, 3) if denominators else 1
         coords.append(Fraction(num, den))
     return Vector(space, coords)
-
-
-def random_nonzero_vector(space: SymplecticSpace, rng: random.Random) -> Vector:
-    while True:
-        v = random_vector(space, rng)
-        if not v.is_zero():
-            return v
 
 
 def random_primitive_integral_vector(space: SymplecticSpace,
@@ -77,18 +72,6 @@ def random_transvection(space: SymplecticSpace, rng: random.Random) -> Transvect
     return Transvection(random_primitive_integral_vector(space, rng))
 
 
-def _canonical_split(space: SymplecticSpace, rng: random.Random):
-    """A geometric bounding-pair split: boundary handle plus a handle partition."""
-    g = space.genus
-    handles = list(range(1, g + 1))
-    rng.shuffle(handles)
-    h1 = rng.randint(0, g - 1)
-    d = space.a(handles[0])
-    side1_pairs = [(space.a(k), space.b(k)) for k in handles[1:1 + h1]]
-    side2_pairs = [(space.a(k), space.b(k)) for k in handles[1 + h1:]]
-    return d, side1_pairs, side2_pairs
-
-
 def _jitter_pairs(d: Vector, pairs, rng: random.Random):
     """Respecify one side without changing the subsurface it describes."""
     pairs = [list(p) for p in pairs]
@@ -109,13 +92,18 @@ def random_bounding_pair(space: SymplecticSpace, rng: random.Random,
                          twists: int | None = None) -> BoundingPairSpec:
     """A valid randomized bounding pair.
 
-    Built from a handle split, respecified pair by pair, then pushed
-    through a random composite of transvections; every step preserves
-    both the validation constraints and the cross-side identity.
+    Built from a canonical split of shuffled handles, respecified pair
+    by pair, then pushed through a random composite of transvections;
+    every step preserves both the validation constraints and the
+    cross-side identity.
     """
-    d, pairs1, pairs2 = _canonical_split(space, rng)
-    pairs1 = _jitter_pairs(d, pairs1, rng)
-    pairs2 = _jitter_pairs(d, pairs2, rng)
+    g = space.genus
+    handles = list(range(1, g + 1))
+    rng.shuffle(handles)
+    split = canonical_split(space, handles, rng.randint(0, g - 1))
+    d = split.side1.d
+    pairs1 = _jitter_pairs(d, split.side1.pairs, rng)
+    pairs2 = _jitter_pairs(d, split.side2.pairs, rng)
     if twists is None:
         twists = rng.randint(0, 4)
     maps = [random_transvection(space, rng) for _ in range(twists)]
@@ -139,10 +127,6 @@ def respecify(b: BoundingPairSpec, rng: random.Random,
     return BoundingPairSpec(side2, side1) if swap else BoundingPairSpec(side1, side2)
 
 
-def _verdict(name: str, passed: bool, detail: str = "") -> Verdict:
-    return Verdict(name=name, passed=passed, detail=detail)
-
-
 def run_invariant_checks(genus: int = 3, seed: int = 0,
                          rounds: int = 10) -> list[Verdict]:
     """Run every identity check at the given genus; deterministic in (genus, seed)."""
@@ -160,7 +144,7 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         u = random_vector(space, rng)
         x = random_multivector(space, 1, rng)
         ok = ok and wedge(u, u).is_zero() and wedge(x, x).is_zero()
-    out.append(_verdict("wedge-alternating", ok))
+    out.append(Verdict("wedge-alternating", ok))
 
     ok = True
     for _ in range(rounds):
@@ -169,7 +153,7 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         lhs = wedge(u + v, w)
         rhs = wedge(u, w) + wedge(v, w)
         ok = ok and lhs == rhs
-    out.append(_verdict("wedge-bilinear", ok))
+    out.append(Verdict("wedge-bilinear", ok))
 
     ok = True
     for _ in range(rounds):
@@ -178,13 +162,13 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         ok = ok and wedge(x, y) == Fraction(-1) ** (1 * 2) * wedge(y, x)
         u, v = random_vector(space, rng), random_vector(space, rng)
         ok = ok and wedge(u, v) == -1 * wedge(v, u)
-    out.append(_verdict("wedge-graded-commutation", ok))
+    out.append(Verdict("wedge-graded-commutation", ok))
 
     ok = True
     for _ in range(rounds):
         u, v, w = (random_vector(space, rng) for _ in range(3))
         ok = ok and wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
-    out.append(_verdict("wedge-associative", ok))
+    out.append(Verdict("wedge-associative", ok))
 
     ok = True
     for _ in range(rounds):
@@ -192,47 +176,46 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         base = contraction3(wedge(u, v, w))
         for perm, sign in (((v, u, w), -1), ((v, w, u), 1), ((w, u, v), 1)):
             ok = ok and contraction3(wedge(*perm)) == sign * base
-    out.append(_verdict("contraction-well-defined", ok))
+    out.append(Verdict("contraction-well-defined", ok))
 
     ok = all(contraction3(wedge(delta(space), space.basis_vector(i)))
              == (genus - 1) * space.basis_vector(i) for i in range(space.dim))
-    out.append(_verdict("projector-normalization", ok,
-                        f"contraction3(delta^v) = {genus - 1} v on the basis"))
+    out.append(Verdict("projector-normalization", ok,
+                       f"contraction3(delta^v) = {genus - 1} v on the basis"))
 
     idem, kills, recon = True, True, True
     for _ in range(rounds):
         x = random_multivector(space, 3, rng, denominators=True)
-        p = project_primitive(x)
+        p, _, dw = split_primitive(x)
         idem = idem and project_primitive(p) == p
         kills = kills and contraction3(p).is_zero()
-        w = Fraction(1, genus - 1) * contraction3(x)
-        recon = recon and p + wedge(delta(space), w) == x
-    out.append(_verdict("projector-idempotent", idem))
-    out.append(_verdict("projector-kills-contraction", kills))
-    out.append(_verdict("splitting-reconstructs", recon))
+        recon = recon and p + dw == x
+    out.append(Verdict("projector-idempotent", idem))
+    out.append(Verdict("projector-kills-contraction", kills))
+    out.append(Verdict("splitting-reconstructs", recon))
 
     audit = dimension_audit(space)
     r1, r2, expected = audit.projector_rank, audit.isotropic_rank, audit.quotient_dim
-    out.append(_verdict("primitive-rank-two-ways", r1 == r2 == expected,
-                        f"projector {r1}, isotropic span {r2}, count {expected}"))
+    out.append(Verdict("primitive-rank-two-ways", r1 == r2 == expected,
+                       f"projector {r1}, isotropic span {r2}, count {expected}"))
 
     ok = True
     for x, y in sample_pairs(2):
         ok = ok and q2(x, y) == q2(y, x)
-    out.append(_verdict("q2-symmetric", ok))
+    out.append(Verdict("q2-symmetric", ok))
 
     ok = True
     for _ in range(rounds):
         u, v = random_vector(space, rng), random_vector(space, rng)
         ok = ok and q2(delta(space), wedge(u, v)) == intersection(u, v)
     ok = ok and q2(delta(space), delta(space)) == genus
-    out.append(_verdict("q2-represents-pairing", ok,
-                        "q2(delta, u^v) = u.v and q2(delta, delta) = g"))
+    out.append(Verdict("q2-represents-pairing", ok,
+                       "q2(delta, u^v) = u.v and q2(delta, delta) = g"))
 
     ok = True
     for s, t in sample_pairs(3):
         ok = ok and omega3(s, t) == -omega3(t, s)
-    out.append(_verdict("omega3-antisymmetric", ok))
+    out.append(Verdict("omega3-antisymmetric", ok))
 
     ok = True
     for _ in range(rounds):
@@ -241,41 +224,41 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         x1, x2 = random_multivector(space, 2, rng), random_multivector(space, 2, rng)
         ok = ok and omega3(t.apply(s1), t.apply(s2)) == omega3(s1, s2)
         ok = ok and q2(t.apply(x1), t.apply(x2)) == q2(x1, x2)
-    out.append(_verdict("omega3-q2-transvection-invariant", ok))
+    out.append(Verdict("omega3-q2-transvection-invariant", ok))
 
     basis = primitive_basis(space)
     gram = [[omega3(x, y) for y in basis] for x in basis]
     rank = rank_of_rows(gram)
-    out.append(_verdict("omega3-primitive-gram-rank", rank == expected == len(basis),
-                        f"rank {rank} on a {len(basis)}-element primitive basis"))
+    out.append(Verdict("omega3-primitive-gram-rank", rank == expected == len(basis),
+                       f"rank {rank} on a {len(basis)}-element primitive basis"))
 
     ok = True
     for _ in range(rounds):
         x = random_multivector(space, 3, rng, denominators=True)
         v = random_vector(space, rng)
         ok = ok and omega3(project_primitive(x), wedge(delta(space), v)) == 0
-    out.append(_verdict("omega3-splitting-orthogonal", ok,
-                        "measured: the two summands pair to zero"))
+    out.append(Verdict("omega3-splitting-orthogonal", ok,
+                       "measured: the two summands pair to zero"))
 
     ok = True
     for s, t in sample_pairs(3):
         ok = ok and phi(s, t) == phi(t, s)
-    out.append(_verdict("phi-symmetric", ok))
+    out.append(Verdict("phi-symmetric", ok))
 
     ok = True
     for _ in range(rounds):
         t = random_transvection(space, rng)
         s1, s2 = random_multivector(space, 3, rng), random_multivector(space, 3, rng)
         ok = ok and phi(t.apply(s1), t.apply(s2)) == t.apply(phi(s1, s2))
-    out.append(_verdict("phi-transvection-equivariant", ok))
+    out.append(Verdict("phi-transvection-equivariant", ok))
 
     ok = True
     for _ in range(rounds):
         x = random_multivector(space, 3, rng, denominators=True)
         w = random_primitive(space, rng)
         ok = ok and phi(x, w) == phi(project_primitive(x), w)
-    out.append(_verdict("phi-sees-only-primitive-part", ok,
-                        "measured: phi(delta^v, w) = 0 for primitive w"))
+    out.append(Verdict("phi-sees-only-primitive-part", ok,
+                       "measured: phi(delta^v, w) = 0 for primitive w"))
 
     ok = True
     for _ in range(rounds):
@@ -285,15 +268,15 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         ok = ok and t.apply_vector(t.apply_vector(u), inverse=True) == u
     ok = ok and all(random_transvection(space, rng).apply(delta(space)) == delta(space)
                     for _ in range(rounds))
-    out.append(_verdict("transvection-symplectic", ok,
-                        "preserves the pairing, fixes delta, inverts exactly"))
+    out.append(Verdict("transvection-symplectic", ok,
+                       "preserves the pairing, fixes delta, inverts exactly"))
 
     ok = True
     for _ in range(rounds):
         pair = johnson_pair(random_bounding_pair(space, rng))
         ok = (ok and pair.cross_side_identity and pair.projections_agree
               and is_primitive(pair.primitive1))
-    out.append(_verdict("johnson-cross-side-identity", ok))
+    out.append(Verdict("johnson-cross-side-identity", ok))
 
     ok = True
     for _ in range(rounds):
@@ -301,23 +284,23 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         j = johnson_bp(b)
         ok = ok and johnson_bp(respecify(b, rng)) == j
         ok = ok and johnson_bp(respecify(b, rng, swap=True)) == j
-    out.append(_verdict("johnson-respec-invariant", ok))
+    out.append(Verdict("johnson-respec-invariant", ok))
 
     ok = True
     for _ in range(rounds):
         s = random_bounding_pair(space, rng).side1
         ok = ok and contraction3(johnson_element(s)) == s.genus * s.d
-    out.append(_verdict("johnson-contraction-genus-multiple", ok,
-                        "contraction3(j(side)) = genus(side) d, measured and frozen"))
+    out.append(Verdict("johnson-contraction-genus-multiple", ok,
+                       "contraction3(j(side)) = genus(side) d, measured and frozen"))
 
     ok = True
     for _ in range(rounds):
         b = random_bounding_pair(space, rng)
         ok = ok and is_identity(bounding_pair_action_matrix(b))
     single = Transvection(space.b(1)).matrix()
-    out.append(_verdict("bounding-pair-trivial-on-homology",
-                        ok and not is_identity(single),
-                        "composite is the identity, a lone twist is not"))
+    out.append(Verdict("bounding-pair-trivial-on-homology",
+                       ok and not is_identity(single),
+                       "composite is the identity, a lone twist is not"))
 
     params = TorelliParams(kappa1=Fraction(1, 2))
     ok = True
@@ -330,8 +313,8 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         ok = ok and act(t1, m, params).top == m.top
         tube = lift_tube(random_sym2(space, rng), rng.randint(-2, 2))
         ok = ok and act(t1, tube, params) == tube
-    out.append(_verdict("action-unipotent", ok,
-                        "additive in the actor, fixes the sub, fixes the top"))
+    out.append(Verdict("action-unipotent", ok,
+                       "additive in the actor, fixes the sub, fixes the top"))
 
     ok = True
     for _ in range(rounds):
@@ -342,14 +325,14 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
         both = variation(b, w1 + w2)
         ok = ok and both.sym2 == var1.sym2 + var2.sym2 and both.scalar == var1.scalar + var2.scalar
         ok = ok and var1.top.is_zero()
-    out.append(_verdict("variation-linear-in-top", ok))
+    out.append(Verdict("variation-linear-in-top", ok))
 
     fx = builtin_fixture("paper-figure-1")
     var = variation(fx.pairs["bp"], fx.multivectors["top"])
     expect = sym_product(fx.space.a(2), fx.space.a(3))
-    out.append(_verdict("variation-nontrivial-on-builtin-pair",
-                        var.sym2 == expect and not var.sym2.is_zero(),
-                        "the genus-3 pair moves a2^b1^a3 by +a2.a3"))
+    out.append(Verdict("variation-nontrivial-on-builtin-pair",
+                       var.sym2 == expect and not var.sym2.is_zero(),
+                       "the genus-3 pair moves a2^b1^a3 by +a2.a3"))
 
     ok = True
     for _ in range(rounds):
@@ -360,6 +343,6 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
             ok = ok and parse_multivector(space, render_canonical(x), degree) == x
         s = random_sym2(space, rng)
         ok = ok and parse_sym2(space, render_canonical(s)) == s
-    out.append(_verdict("render-parse-round-trip", ok))
+    out.append(Verdict("render-parse-round-trip", ok))
 
     return sorted(out, key=lambda v: v.name)

@@ -102,12 +102,17 @@ def _split_sections(text: str):
     return top, sections
 
 
-def _unique_items(items, lineno, repeatable=()):
+def _unique_items(items, kind, allowed, repeatable=()):
+    """Section items as {key: [(value, lineno), ...]}; duplicate or unknown keys fail."""
     out = {}
     for key, value, ln in items:
         if key in out and key not in repeatable:
             raise ConfigError(f"duplicate key {key!r}", ln)
         out.setdefault(key, []).append((value, ln))
+    unknown = sorted(set(out) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {kind} section",
+                          out[unknown[0]][0][1])
     return out
 
 
@@ -150,11 +155,7 @@ def _coeff_list(value: str, lineno: int) -> list[Fraction]:
 
 def _build_vector(cfg, name, items, lineno):
     space = cfg.require_space()
-    keys = _unique_items(items, lineno)
-    unknown = set(keys) - {"coeffs", "expr"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in vector section",
-                          keys[sorted(unknown)[0]][0][1])
+    keys = _unique_items(items, "vector", ("coeffs", "expr"))
     if ("coeffs" in keys) == ("expr" in keys):
         raise ConfigError(f"vector {name!r} needs exactly one of coeffs/expr", lineno)
     if "coeffs" in keys:
@@ -173,11 +174,7 @@ def _build_vector(cfg, name, items, lineno):
 
 def _build_multivector(cfg, name, items, lineno):
     space = cfg.require_space()
-    keys = _unique_items(items, lineno)
-    unknown = set(keys) - {"coeffs", "expr", "degree"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in multivector section",
-                          keys[sorted(unknown)[0]][0][1])
+    keys = _unique_items(items, "multivector", ("coeffs", "expr", "degree"))
     degree = None
     if "degree" in keys:
         value, ln = keys["degree"][0]
@@ -206,11 +203,7 @@ def _build_multivector(cfg, name, items, lineno):
 
 
 def _build_subsurface(cfg, name, items, lineno):
-    keys = _unique_items(items, lineno, repeatable=("pair",))
-    unknown = set(keys) - {"boundary", "pair"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in subsurface section",
-                          keys[sorted(unknown)[0]][0][1])
+    keys = _unique_items(items, "subsurface", ("boundary", "pair"), repeatable=("pair",))
     if "boundary" not in keys:
         raise ConfigError(f"subsurface {name!r} needs a boundary", lineno)
     bval, bln = keys["boundary"][0]
@@ -229,11 +222,7 @@ def _build_subsurface(cfg, name, items, lineno):
 
 
 def _build_boundingpair(cfg, name, items, lineno):
-    keys = _unique_items(items, lineno)
-    unknown = set(keys) - {"side1", "side2"}
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in boundingpair section",
-                          keys[sorted(unknown)[0]][0][1])
+    keys = _unique_items(items, "boundingpair", ("side1", "side2"))
     sides = []
     for key in ("side1", "side2"):
         if key not in keys:

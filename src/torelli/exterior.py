@@ -361,9 +361,15 @@ def intersection(u: Vector, v: Vector) -> Fraction:
     """Intersection pairing u . v in the standard basis."""
     _same_space(u, v, Vector)
     g = u.space.genus
+    x, y = u.coords, v.coords
     total = Fraction(0)
+    # zero coordinates are skipped: subsurface validation pairs mostly
+    # sparse vectors, and every skipped product is an exact 0
     for i in range(g):
-        total += u.coords[i] * v.coords[g + i] - u.coords[g + i] * v.coords[i]
+        if x[i] and y[g + i]:
+            total += x[i] * y[g + i]
+        if x[g + i] and y[i]:
+            total -= x[g + i] * y[i]
     return total
 
 

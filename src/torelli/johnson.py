@@ -10,6 +10,7 @@ two sides must agree on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -176,6 +177,22 @@ def bounding_pair_action_matrix(b: BoundingPairSpec) -> list[list[Fraction]]:
     return mat_mul(t1.matrix(), t2.matrix(inverse=True))
 
 
+def canonical_split(space: SymplecticSpace, handles: Sequence[int],
+                    h1: int) -> BoundingPairSpec:
+    """The bounding pair cut along d = a_{handles[0]}.
+
+    Side 1 carries the standard pairs (a_k, b_k) of the next h1 handles,
+    side 2 those of the rest, and d' = -d.  With every handle listed
+    once, each h1 in 0..g-1 gives a valid pair.
+    """
+    if not 0 <= h1 < len(handles):
+        raise InvalidBoundingPair(f"h1 must be in 0..{len(handles) - 1}, got {h1}")
+    d = space.a(handles[0])
+    side1 = SubsurfaceSpec(d, [(space.a(k), space.b(k)) for k in handles[1:1 + h1]])
+    side2 = SubsurfaceSpec(-d, [(space.a(k), space.b(k)) for k in handles[1 + h1:]])
+    return BoundingPairSpec(side1, side2)
+
+
 class Fixture:
     """A named, ready-made configuration: space plus named objects."""
 
@@ -195,70 +212,46 @@ class Fixture:
         return f"Fixture({self.name!r}, genus={self.space.genus})"
 
 
-def _fixture_paper_figure_1() -> Fixture:
-    """Genus-3 bounding pair with one handle on each side.
+def _split_fixture(name: str, g: int, h1: int, labels) -> Fixture:
+    """The canonical split at (g, h1) with the top class a2 ^ b1 ^ ag.
 
-    d = a1 and d' = -a1 split off sides carrying the (a2, b2) and
-    (a3, b3) handles; the interesting top class is a2 ^ b1 ^ a3, an
-    isotropic triple meeting both sides' curve systems.
+    labels names extra basis vectors, {name: basis label}, so that
+    configs written against a fixture keep resolving.
     """
-    space = SymplecticSpace(3)
-    d = space.a(1)
-    dprime = -d
-    a, aprime = space.a(2), space.b(2)
-    c, bvec = space.b(1), space.a(3)
-    side1 = SubsurfaceSpec(d, [(a, aprime)])
-    side2 = SubsurfaceSpec(dprime, [(space.a(3), space.b(3))])
-    pair = BoundingPairSpec(side1, side2)
-    top = wedge(a, c, bvec)
-    j1 = johnson_element(side1)
+    space = SymplecticSpace(g)
+    pair = canonical_split(space, range(1, g + 1), h1)
+    vectors = {"d": pair.side1.d, "dprime": pair.side2.d}
+    vectors.update((n, space.basis_vector(space.index(label)))
+                   for n, label in labels.items())
     return Fixture(
-        name="paper-figure-1",
+        name=name,
         space=space,
-        vectors={"d": d, "dprime": dprime, "a": a, "aprime": aprime,
-                 "b": bvec, "c": c},
-        multivectors={"top": top, "j1": j1},
-        subsurfaces={"side1": side1, "side2": side2},
+        vectors=vectors,
+        multivectors={"top": wedge(space.a(2), space.b(1), space.a(g)),
+                      "j1": johnson_element(pair.side1)},
+        subsurfaces={"side1": pair.side1, "side2": pair.side2},
         pairs={"bp": pair},
         defaults={"pair": "bp", "top": "top", "subsurface": "side1",
                   "input": "j1", "form": "phi", "left": "j1", "right": "top"},
     )
 
 
-def _fixture_genus4_split() -> Fixture:
-    """Genus-4 bounding pair splitting two handles from one."""
-    space = SymplecticSpace(4)
-    d = space.a(1)
-    side1 = SubsurfaceSpec(d, [(space.a(2), space.b(2)), (space.a(3), space.b(3))])
-    side2 = SubsurfaceSpec(-d, [(space.a(4), space.b(4))])
-    pair = BoundingPairSpec(side1, side2)
-    top = wedge(space.a(2), space.b(1), space.a(4))
-    j1 = johnson_element(side1)
-    return Fixture(
-        name="genus4-split",
-        space=space,
-        vectors={"d": d, "dprime": -d},
-        multivectors={"top": top, "j1": j1},
-        subsurfaces={"side1": side1, "side2": side2},
-        pairs={"bp": pair},
-        defaults={"pair": "bp", "top": "top", "subsurface": "side1",
-                  "input": "j1", "form": "phi", "left": "j1", "right": "top"},
-    )
-
-
-_FIXTURE_BUILDERS = {
-    "paper-figure-1": _fixture_paper_figure_1,
-    "genus4-split": _fixture_genus4_split,
+# name: (genus, h1, extra vector names as basis labels).  In paper-figure-1
+# the top class a2 ^ b1 ^ a3 is the isotropic triple a ^ c ^ b, meeting
+# both sides' curve systems.
+_FIXTURE_SPLITS = {
+    "paper-figure-1": (3, 1, {"a": "a2", "aprime": "b2", "b": "a3", "c": "b1"}),
+    "genus4-split": (4, 2, {}),
 }
 
-FIXTURE_NAMES = tuple(sorted(_FIXTURE_BUILDERS))
+FIXTURE_NAMES = tuple(sorted(_FIXTURE_SPLITS))
 
 
 def builtin_fixture(name: str) -> Fixture:
     """Look up a named built-in configuration."""
     try:
-        builder = _FIXTURE_BUILDERS[name]
+        split = _FIXTURE_SPLITS[name]
     except KeyError:
         known = ", ".join(FIXTURE_NAMES)
         raise ValueError(f"unknown fixture {name!r}; known fixtures: {known}") from None
-    return builder()
+    return _split_fixture(name, *split)

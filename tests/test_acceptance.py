@@ -1,4 +1,4 @@
-"""Acceptance suite: the ten headline guarantees, one printed line each.
+"""Acceptance suite: the eleven headline guarantees, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines alongside pytest's own verdicts.  Every check is exact
@@ -16,9 +16,10 @@ from math import comb
 
 from torelli import (BoundingPairSpec, SubsurfaceSpec, SymplecticSpace,
                      Transvection, bounding_pair_action_matrix,
-                     builtin_fixture, contraction3, delta, johnson_bp,
-                     johnson_element, lift_tube, omega3, parse_multivector,
-                     parse_sym2, parse_vector, phi, project_primitive,
+                     builtin_fixture, canonical_split, contraction3, delta,
+                     johnson_bp, johnson_element, lift_tube, omega3,
+                     parse_multivector, parse_sym2, parse_vector, phi,
+                     project_primitive,
                      primitive_basis, primitive_rank_two_ways, q2,
                      render_multivector, render_sym2, render_vector,
                      sym_product, variation, wedge)
@@ -231,3 +232,21 @@ def test_criterion_10_determinism_and_round_trip():
 
     _report(10, "byte-identical reports on repeated runs; parse(render(x)) = x, 200 elements",
             check)
+
+
+def test_criterion_11_nontrivial_at_every_genus():
+    def check():
+        for g in range(3, 13):
+            sp = SymplecticSpace(g)
+            top = wedge(sp.a(2), sp.b(1), sp.a(g))
+            moved = sym_product(sp.a(2), sp.a(g))
+            for h1 in range(g):
+                v = variation(canonical_split(sp, range(1, g + 1), h1), top)
+                assert v.top.is_zero() and v.scalar == 0
+                if 1 <= h1 <= g - 2:
+                    assert v.sym2 == moved
+                else:
+                    assert v.sym2.is_zero()
+
+    _report(11, "canonical splits at g=3..12 move a2^b1^ag by a2.ag, or by 0 with a genus-0 side",
+            check, limit=5.0)

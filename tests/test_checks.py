@@ -12,6 +12,7 @@ from torelli.checks import (random_bounding_pair, random_multivector,
                             random_primitive, random_primitive_integral_vector,
                             random_sym2, random_transvection, random_vector,
                             respecify, run_invariant_checks)
+from torelli.render import render_vector
 
 EXPECTED_CHECKS = (
     "action-unipotent",
@@ -110,6 +111,37 @@ class TestSamplers:
                 assert (b.side1.d + b.side2.d).is_zero()
                 for e, f in b.side1.pairs + b.side2.pairs:
                     assert intersection(e, f) == 1
+
+    def test_bounding_pair_golden_draws(self):
+        """Pinned samples: any change in the rng draw order changes these."""
+        golden = {
+            (3, 72): ("a3 + b2 - b3",
+                      [("a2 - b2 + b3", "a2 - a3 - b2 + 2 b3")],
+                      [("b1", "-a1 - 2 b1")],
+                      0.2953739992609059),
+            (4, 7): ("a4",
+                     [],
+                     [("a3", "-a4 + b3"), ("-a4 + b1", "-a1 - a4"),
+                      ("2 a4 + b2", "-a2 - 2 a4")],
+                     0.9762551055929201),
+            (5, 15): ("-a1 - 3 a3 + a5 + 3 b1 - b3 - 3 b4 + b5",
+                      [("3 a1 + 9 a3 + a4 - 9 b1 + 3 b3 + 9 b4 - 3 b5",
+                        "2 a1 + 6 a3 - 2 a5 - 6 b1 + 2 b3 + 7 b4 - 2 b5")],
+                      [("-3 a1 - 9 a3 + 9 b1 - 2 b3 - 9 b4 + 3 b5",
+                        "-a1 - 4 a3 + 3 b1 - b3 - 3 b4 + b5"),
+                       ("-2 a1 - 9 a3 + 9 b1 - 3 b3 - 9 b4 + 3 b5",
+                        "-a1 - 3 a3 + 4 b1 - b3 - 3 b4 + b5"),
+                       ("b2", "-a2")],
+                      0.43930244870197555),
+        }
+        for (g, seed), (d, pairs1, pairs2, after) in golden.items():
+            rng = random.Random(seed)
+            b = random_bounding_pair(SymplecticSpace(g), rng)
+            assert render_vector(b.side1.d) == d
+            assert (b.side1.d + b.side2.d).is_zero()
+            for side, want in ((b.side1, pairs1), (b.side2, pairs2)):
+                assert [(render_vector(e), render_vector(f)) for e, f in side.pairs] == want
+            assert rng.random() == after
 
     def test_respecify_keeps_boundary_up_to_swap(self):
         sp = SymplecticSpace(3)

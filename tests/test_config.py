@@ -108,6 +108,22 @@ class TestVectorSections:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="unknown key 'color'"):
             parse_config("genus = 2\n[vector u]\ncolor = red\nexpr = a1\n")
+        # every section kind names the first unknown key in sorted order,
+        # at the line where it first appears
+        cases = [
+            ("[vector u]\nexpr = a1\ncolor = red\n", "vector", 4),
+            ("[multivector m]\ndegree = 2\nexpr = a1^b1\ncolor = red\n",
+             "multivector", 5),
+            ("[subsurface s]\nboundary = a1\npair = a2, b2\ncolor = red\n",
+             "subsurface", 5),
+            ("[boundingpair bp]\nside1 = s\nzeta = 1\ncolor = red\n",
+             "boundingpair", 5),
+        ]
+        for body, kind, line in cases:
+            with pytest.raises(ConfigError) as info:
+                parse_config("genus = 2\n" + body)
+            assert str(info.value) == f"line {line}: unknown key 'color' in {kind} section"
+            assert info.value.line == line
 
     def test_basis_label_shadowing_rejected(self):
         with pytest.raises(ConfigError, match="shadows a basis label"):

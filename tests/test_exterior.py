@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_contraction3, oracle_vector_wedge
+from conftest import (dense_pairing_matrix, oracle_contraction3,
+                      oracle_vector_wedge)
 from torelli import (Multivector, Sym2Element, SymplecticSpace, Vector,
                      contraction3, delta, intersection, is_primitive,
                      primitive_basis, primitive_rank_two_ways,
@@ -90,6 +91,15 @@ class TestIntersection:
     @settings(max_examples=40, deadline=None)
     def test_bilinear(self, u, v, w, s):
         assert intersection(u + s * v, w) == intersection(u, w) + s * intersection(v, w)
+
+    @given(vectors(), vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_pairing_matrix(self, u, v):
+        j = dense_pairing_matrix(u.space)
+        want = sum(x * j[i][k] * y for i, x in enumerate(u.coords)
+                   for k, y in enumerate(v.coords))
+        got = intersection(u, v)
+        assert got == want and isinstance(got, Fraction)
 
 
 class TestNormalForm:

@@ -10,7 +10,7 @@ import pytest
 from torelli import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                      JohnsonIdentityError, SubsurfaceSpec, SymplecticSpace,
                      bounding_pair_action_matrix, builtin_fixture,
-                     contraction3, delta, is_primitive, johnson_bp,
+                     canonical_split, contraction3, delta, is_primitive, johnson_bp,
                      johnson_element, johnson_pair, project_primitive, wedge)
 from torelli.checks import random_bounding_pair, respecify
 from torelli.johnson import FIXTURE_NAMES
@@ -82,6 +82,21 @@ class TestBoundingPairSpec:
         for g in (3, 4, 5):
             b = canonical_pair(SymplecticSpace(g))
             assert b.side1.genus + b.side2.genus == g - 1
+
+
+class TestCanonicalSplit:
+    def test_shuffled_handles(self):
+        sp = SymplecticSpace(5)
+        b = canonical_split(sp, [3, 5, 1, 4, 2], 2)
+        assert b.side1.d == sp.a(3) and b.side2.d == -sp.a(3)
+        assert b.side1.pairs == ((sp.a(5), sp.b(5)), (sp.a(1), sp.b(1)))
+        assert b.side2.pairs == ((sp.a(4), sp.b(4)), (sp.a(2), sp.b(2)))
+
+    def test_h1_out_of_range_rejected(self):
+        sp = SymplecticSpace(5)
+        for h1 in (-1, 5):
+            with pytest.raises(InvalidBoundingPair, match=r"h1 must be in 0\.\.4"):
+                canonical_split(sp, range(1, 6), h1)
 
 
 class TestJohnsonElement:
@@ -181,6 +196,39 @@ class TestFixtures:
         assert f.multivectors["j1"] == johnson_element(f.subsurfaces["side1"])
         for key in ("pair", "top", "subsurface", "input", "form", "left", "right"):
             assert key in f.defaults
+
+    def test_contents_equal_hand_written_values(self):
+        defaults = {"pair": "bp", "top": "top", "subsurface": "side1",
+                    "input": "j1", "form": "phi", "left": "j1", "right": "top"}
+        s3, s4 = SymplecticSpace(3), SymplecticSpace(4)
+        want = {
+            "paper-figure-1": (
+                s3,
+                {"d": s3.a(1), "dprime": -s3.a(1), "a": s3.a(2),
+                 "aprime": s3.b(2), "b": s3.a(3), "c": s3.b(1)},
+                {"top": wedge(s3.a(2), s3.b(1), s3.a(3)),
+                 "j1": wedge(s3.a(1), s3.a(2), s3.b(2))},
+                {"side1": (s3.a(1), ((s3.a(2), s3.b(2)),)),
+                 "side2": (-s3.a(1), ((s3.a(3), s3.b(3)),))}),
+            "genus4-split": (
+                s4,
+                {"d": s4.a(1), "dprime": -s4.a(1)},
+                {"top": wedge(s4.a(2), s4.b(1), s4.a(4)),
+                 "j1": (wedge(s4.a(1), s4.a(2), s4.b(2))
+                        + wedge(s4.a(1), s4.a(3), s4.b(3)))},
+                {"side1": (s4.a(1), ((s4.a(2), s4.b(2)), (s4.a(3), s4.b(3)))),
+                 "side2": (-s4.a(1), ((s4.a(4), s4.b(4)),))}),
+        }
+        for name, (space, vectors, multivectors, sides) in want.items():
+            f = builtin_fixture(name)
+            assert f.name == name and f.space == space
+            assert f.vectors == vectors
+            assert f.multivectors == multivectors
+            assert {k: (s.d, s.pairs) for k, s in f.subsurfaces.items()} == sides
+            assert list(f.pairs) == ["bp"]
+            assert f.pairs["bp"].side1 is f.subsurfaces["side1"]
+            assert f.pairs["bp"].side2 is f.subsurfaces["side2"]
+            assert f.defaults == defaults
 
     def test_genus4_split_golden(self):
         f = builtin_fixture("genus4-split")
