@@ -70,13 +70,22 @@ class SymplecticSpace:
             raise ValueError(f"label {label!r} out of range for genus {self.genus}")
         return handle - 1 if m.group(1) == "a" else self.genus + handle - 1
 
+    def dual(self, i: int) -> tuple[int, int]:
+        """The one basis index j that pairs nonzero with i, and that pairing's sign.
+
+        The pairing matrix is a signed permutation: a_k . b_k = 1 and
+        b_k . a_k = -1, every other basis pair is 0.
+        """
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} out of range for dimension {self.dim}")
+        if i < self.genus:
+            return i + self.genus, 1
+        return i - self.genus, -1
+
     def basis_pairing(self, i: int, j: int) -> int:
         """Intersection number of the i-th and j-th basis vectors."""
-        if j == i + self.genus:
-            return 1
-        if i == j + self.genus:
-            return -1
-        return 0
+        k, sign = self.dual(i)
+        return sign if j == k else 0
 
     def basis_vector(self, i: int) -> Vector:
         coords = [Fraction(0)] * self.dim

@@ -4,6 +4,12 @@ omega3 pairs two 3-forms to a rational, q2 pairs two 2-forms, and phi
 pairs two 3-forms into the symmetric square.  All three are defined on
 decomposables and extended bilinearly; transvections provide the
 equivariance test machinery.
+
+The basis pairing is a signed permutation (a_i <-> b_i, see
+SymplecticSpace.dual), so no kernel scans pairs of terms.  omega3 and q2
+cost one dict lookup per term of the left form: its key's dual.  phi
+indexes the right form once by ordered slot pair and then costs
+3·|s| lookups, one per cyclic slot pair of each term of the left form.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import (Multivector, Sym2Element, Vector, _add_into,
-                       _multivector, _same_space, _sym2, _vector, intersection,
-                       sym_product, wedge)
+                       _multivector, _same_space, _sort_with_sign, _sym2,
+                       _vector, intersection, sym_product, wedge)
 
 
 def _check_degree(x, degree: int, name: str):
@@ -30,19 +36,7 @@ def omega3(s: Multivector, t: Multivector) -> Fraction:
     _check_degree(s, 3, "omega3")
     _check_degree(t, 3, "omega3")
     _same_space(s, t, Multivector)
-    pairing = s.space.basis_pairing
-    total = Fraction(0)
-    for (i0, i1, i2), c in s.terms.items():
-        for (j0, j1, j2), d in t.terms.items():
-            m00, m01, m02 = pairing(i0, j0), pairing(i0, j1), pairing(i0, j2)
-            m10, m11, m12 = pairing(i1, j0), pairing(i1, j1), pairing(i1, j2)
-            m20, m21, m22 = pairing(i2, j0), pairing(i2, j1), pairing(i2, j2)
-            det = (m00 * (m11 * m22 - m12 * m21)
-                   - m01 * (m10 * m22 - m12 * m20)
-                   + m02 * (m10 * m21 - m11 * m20))
-            if det:
-                total += c * d * det
-    return total
+    return _pair_dual_keys(s, t)
 
 
 def q2(x: Multivector, y: Multivector) -> Fraction:
@@ -50,13 +44,41 @@ def q2(x: Multivector, y: Multivector) -> Fraction:
     _check_degree(x, 2, "q2")
     _check_degree(y, 2, "q2")
     _same_space(x, y, Multivector)
-    pairing = x.space.basis_pairing
+    return _pair_dual_keys(x, y)
+
+
+def _dual_key(space, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The one basis key that pairs nonzero with `key`, and the sign of that pairing.
+
+    The slotwise pairing matrix of e_key against e_J is nonzero only when
+    J is the sorted image of key under the dual map; it is then a signed
+    permutation matrix, whose determinant is the product of the slot
+    signs times the sign of the sort.
+    """
+    sign = 1
+    image = []
+    for i in key:
+        j, e = space.dual(i)
+        image.append(j)
+        sign *= e
+    sort_sign, dual = _sort_with_sign(tuple(image))
+    return sign * sort_sign, dual
+
+
+def _pair_dual_keys(x: Multivector, y: Multivector) -> Fraction:
+    """The determinant pairing of two same-degree forms: one lookup per term of x."""
+    space = x.space
+    get = y.terms.get
     total = Fraction(0)
-    for (p, q), c in x.terms.items():
-        for (r, s), d in y.terms.items():
-            det = pairing(p, r) * pairing(q, s) - pairing(p, s) * pairing(q, r)
-            if det:
-                total += c * d * det
+    for key, c in x.terms.items():
+        sign, dual = _dual_key(space, key)
+        d = get(dual)
+        if d is None:
+            continue
+        if sign > 0:
+            total += c * d
+        else:
+            total -= c * d
     return total
 
 
@@ -74,18 +96,32 @@ def phi(s: Multivector, t: Multivector) -> Sym2Element:
 
 
 def _phi_terms(s: Multivector, t: Multivector):
-    """The (key, coefficient) contributions of every pair of terms to phi(s, t)."""
-    pairing = s.space.basis_pairing
+    """The (key, coefficient) contributions to phi(s, t), by dual slot pairs.
+
+    On basis vectors, q2(u_i ^ u_{i+1}, v_j ^ v_{j+1}) is the sign product
+    e_i e_{i+1} of the dual map when (v_j, v_{j+1}) = (u_i*, u_{i+1}*),
+    its negative when (v_j, v_{j+1}) is that pair reversed, and 0
+    otherwise.  So t is indexed once by ordered slot pair in both
+    orientations, the reversed one with its coefficient negated, and
+    each slot pair (u_i, u_{i+1}) of s costs one lookup.
+    """
+    pairs: dict[tuple[int, int], list] = {}
+    for (v0, v1, v2), d in t.terms.items():
+        minus_d = -d
+        for p, q, r in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1)):
+            pairs.setdefault((p, q), []).append((r, d))
+            pairs.setdefault((q, p), []).append((r, minus_d))
+    dual = s.space.dual
     for u, c in s.terms.items():
-        for v, d in t.terms.items():
-            for i in range(3):
-                ui, ui1, ui2 = u[i], u[(i + 1) % 3], u[(i + 2) % 3]
-                for j in range(3):
-                    vj, vj1, vj2 = v[j], v[(j + 1) % 3], v[(j + 2) % 3]
-                    qf = (pairing(ui, vj) * pairing(ui1, vj1)
-                          - pairing(ui, vj1) * pairing(ui1, vj))
-                    if qf:
-                        yield (ui2, vj2) if ui2 <= vj2 else (vj2, ui2), c * d * qf
+        for p, q, w in ((u[0], u[1], u[2]), (u[1], u[2], u[0]), (u[2], u[0], u[1])):
+            dp, ep = dual(p)
+            dq, eq = dual(q)
+            matches = pairs.get((dp, dq))
+            if matches is None:
+                continue
+            signed_c = c if ep == eq else -c
+            for x, d in matches:
+                yield (w, x) if w <= x else (x, w), signed_c * d
 
 
 class Transvection:

@@ -66,6 +66,19 @@ class TestSpace:
         assert sp.basis_pairing(0, 1) == 0
         assert sp.basis_pairing(0, 3) == 0
 
+    def test_dual_matches_dense_pairing_matrix(self):
+        """dual(i) names the one nonzero of row i of the pairing matrix, with its value."""
+        for g in range(2, 7):
+            sp = SymplecticSpace(g)
+            j = dense_pairing_matrix(sp)
+            for i in range(sp.dim):
+                k, sign = sp.dual(i)
+                assert [c for c, x in enumerate(j[i]) if x] == [k]
+                assert j[i][k] == sign
+            for bad in (-1, sp.dim):
+                with pytest.raises(ValueError):
+                    sp.dual(bad)
+
     def test_float_rejected(self):
         sp = SymplecticSpace(2)
         with pytest.raises(TypeError):
@@ -302,6 +315,22 @@ class TestProjector:
             # the complement piece determines w: delta ^ w = 0 forces w = 0
             if not w.is_zero():
                 assert not wedge(delta(sp), w).is_zero()
+
+    def test_split_matches_oracles(self):
+        """split_primitive against the dense contraction and the determinant wedge."""
+        for g in (3, 4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(40 + g)
+            for _ in range(3):
+                x = rand_mv(sp, 3, rng, nterms=12)
+                p, w, dw = split_primitive(x)
+                assert w == Fraction(1, g - 1) * oracle_contraction3(x)
+                assert oracle_contraction3(p).is_zero()
+                expected = Multivector.zero(sp, 3)
+                for h in range(1, g + 1):
+                    expected = expected + oracle_vector_wedge(sp.a(h), sp.b(h), w)
+                assert dw == expected
+                assert p + dw == x
 
     def test_everything_degenerate_at_genus_two(self):
         sp = SymplecticSpace(2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,40 @@ from torelli import (Multivector, SymplecticSpace, Transvection, delta,
                      intersection, omega3, phi, primitive_basis,
                      project_primitive, q2, sym_product, wedge)
 from torelli.linalg import is_identity, mat_mul, rank_of_rows
+
+
+def handle_form(space, degree, rng, handles, nterms):
+    """Random p/q form on the a and b vectors of the given handles (0-based).
+
+    Two forms on the same few handles share dual keys and dual slot
+    pairs often, so their pairings are rarely zero even at high genus.
+    """
+    indices = sorted(handles + [space.genus + h for h in handles])
+    keys = rng.sample(list(itertools.combinations(indices, degree)), nterms)
+    return Multivector(space, degree, {k: Fraction(rng.choice([-7, -3, -1, 1, 2, 5]),
+                                                   rng.randint(1, 9)) for k in keys})
+
+
+def basis_vectors(space, key):
+    return [space.basis_vector(i) for i in key]
+
+
+def expanded_q2(x, y):
+    """q2 by bilinear expansion over basis decomposables, with the vector oracle."""
+    return sum((c * d * oracle_q2_vectors(*basis_vectors(x.space, p), *basis_vectors(y.space, q))
+                for p, c in x.terms.items() for q, d in y.terms.items()), Fraction(0))
+
+
+def expanded_phi(s, t):
+    """phi(s, t).terms by bilinear expansion over basis decomposables."""
+    terms: dict = {}
+    for u, c in s.terms.items():
+        for v, d in t.terms.items():
+            pieces = oracle_phi_decomposables(basis_vectors(s.space, u),
+                                              basis_vectors(t.space, v))
+            for key, val in pieces.items():
+                terms[key] = terms.get(key, Fraction(0)) + c * d * val
+    return {k: v for k, v in terms.items() if v}
 
 
 class TestQ2:
@@ -38,6 +73,19 @@ class TestQ2:
             x, y = rand_mv(sp, 2, rng), rand_mv(sp, 2, rng)
             assert q2(x, y) == q2(y, x)
 
+    def test_bilinear_expansion_oracle_higher_genus(self):
+        nonzero = 0
+        for g in (4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(50 + g)
+            for _ in range(4):
+                handles = rng.sample(range(g), 3)
+                x, y = (handle_form(sp, 2, rng, handles, 3) for _ in range(2))
+                value = q2(x, y)
+                assert value == expanded_q2(x, y)
+                nonzero += value != 0
+        assert nonzero >= 6
+
     def test_degree_guard(self):
         sp = SymplecticSpace(2)
         with pytest.raises(ValueError):
@@ -60,6 +108,26 @@ class TestOmega3:
             for _ in range(20):
                 s, t = rand_mv(sp, 3, rng), rand_mv(sp, 3, rng)
                 assert omega3(s, t) == oracle_omega3(s, t)
+
+    def test_matches_permutation_oracle_higher_genus(self):
+        nonzero = 0
+        for g in (4, 5):
+            sp = SymplecticSpace(g)
+            rng = random.Random(52 + g)
+            for _ in range(6):
+                s, t = rand_mv(sp, 3, rng, nterms=20), rand_mv(sp, 3, rng, nterms=20)
+                value = omega3(s, t)
+                assert value == oracle_omega3(s, t)
+                nonzero += value != 0
+        assert nonzero >= 8
+
+    def test_matches_permutation_oracle_fully_dense(self):
+        sp = SymplecticSpace(4)
+        rng = random.Random(56)
+        every = len(sp.basis_tuples(3))
+        s, t = (handle_form(sp, 3, rng, list(range(sp.genus)), every) for _ in range(2))
+        assert len(s.terms) == len(t.terms) == every
+        assert omega3(s, t) == oracle_omega3(s, t) != 0
 
     def test_antisymmetric(self):
         sp = SymplecticSpace(3)
@@ -102,6 +170,19 @@ class TestPhi:
             got = phi(wedge(*us), wedge(*vs))
             assert got.terms == oracle_phi_decomposables(us, vs)
 
+    def test_bilinear_expansion_oracle_higher_genus(self):
+        nonzero = 0
+        for g in (4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(57 + g)
+            for _ in range(2):
+                handles = rng.sample(range(g), 3)
+                s, t = handle_form(sp, 3, rng, handles, 3), handle_form(sp, 3, rng, handles, 2)
+                got = phi(s, t)
+                assert got.terms == expanded_phi(s, t)
+                nonzero += not got.is_zero()
+        assert nonzero >= 4
+
     def test_symmetric(self):
         sp = SymplecticSpace(3)
         rng = random.Random(27)
@@ -126,6 +207,48 @@ class TestPhi:
             w = project_primitive(rand_mv(sp, 3, rng))
             assert phi(wedge(delta(sp), rand_vector(sp, rng)), w).is_zero()
             assert phi(x, w) == phi(project_primitive(x), w)
+
+
+class TestPairingEdgeCases:
+    """Inputs where the dual-key lookups find nothing, or find the same form."""
+
+    def test_zero_form(self):
+        sp = SymplecticSpace(4)
+        rng = random.Random(62)
+        s, x = rand_mv(sp, 3, rng, nterms=20), rand_mv(sp, 2, rng, nterms=10)
+        zero3, zero2 = Multivector.zero(sp, 3), Multivector.zero(sp, 2)
+        assert omega3(s, zero3) == omega3(zero3, s) == 0
+        assert q2(x, zero2) == q2(zero2, x) == 0
+        assert phi(s, zero3).is_zero() and phi(zero3, s).is_zero()
+
+    def test_form_paired_with_itself(self):
+        sp = SymplecticSpace(5)
+        rng = random.Random(63)
+        handles = rng.sample(range(sp.genus), 3)
+        s, x = handle_form(sp, 3, rng, handles, 3), handle_form(sp, 2, rng, handles, 4)
+        assert omega3(s, s) == oracle_omega3(s, s) == 0
+        assert q2(x, x) == expanded_q2(x, x) != 0
+        assert phi(s, s).terms == expanded_phi(s, s) != {}
+
+    def test_right_form_missing_every_dual_key(self):
+        """t keeps no key dual to a key of s: omega3 and q2 vanish, phi need not."""
+        sp = SymplecticSpace(4)
+        rng = random.Random(65)
+        handles = rng.sample(range(sp.genus), 3)
+        for degree, size in ((2, 6), (3, 4)):
+            s, t = (handle_form(sp, degree, rng, handles, size) for _ in range(2))
+            duals = {tuple(sorted(sp.dual(i)[0] for i in key)) for key in s.terms}
+            t = Multivector(sp, degree, {k: c for k, c in t.terms.items() if k not in duals})
+            if degree == 2:
+                assert q2(s, t) == expanded_q2(s, t) == 0
+            else:
+                assert omega3(s, t) == oracle_omega3(s, t) == 0
+                assert phi(s, t).terms == expanded_phi(s, t) != {}
+        # forms on a-vectors alone hold no dual slot pair either
+        a_only = [k for k in sp.basis_tuples(3) if max(k) < sp.genus]
+        s = Multivector(sp, 3, {k: Fraction(i + 1, 2) for i, k in enumerate(a_only)})
+        assert omega3(s, s) == oracle_omega3(s, s) == 0
+        assert phi(s, s).is_zero()
 
 
 class TestTransvection:
