@@ -2,63 +2,45 @@
 
 Subcommands: decompose, forms, johnson, act, audit, invariants.  Inputs
 come from --fixture and/or --config (the config extends the fixture);
-flags override scalar settings.  Reports go to stdout as deterministic
-text or JSON.  Exit codes: 0 all verdicts pass, 1 an identity check
-failed, 2 malformed input.
+flags override scalar settings through `config.set_top_level`, the rule
+config lines obey.  Reports go to stdout as deterministic text or JSON.
+Exit codes: 0 all verdicts pass, 1 an identity check failed, 2 malformed
+input (a ConfigError), 3 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .checks import run_invariant_checks
-from .config import ConfigError, JobConfig, config_from_fixture, parse_config
-from .exterior import (Multivector, SymplecticSpace, contraction3, is_primitive,
-                       project_primitive, split_primitive)
+from .config import (ConfigError, JobConfig, config_from_fixture, parse_config,
+                     set_top_level)
+from .exterior import (Multivector, contraction3, is_primitive, project_primitive,
+                       split_primitive)
 from .forms import omega3, phi, q2
-from .h3model import (DEFAULT_KAPPA2, GradedH3Element, TorelliParams, act,
-                      dimension_audit)
-from .johnson import (FIXTURE_NAMES, InvalidBoundingPair, InvalidSubsurface,
-                      bounding_pair_action_matrix, johnson_element, johnson_pair)
+from .h3model import GradedH3Element, act, dimension_audit
+from .johnson import (FIXTURE_NAMES, bounding_pair_action_matrix, johnson_element,
+                      johnson_pair)
 from .linalg import is_identity
-from .render import ParseError, render_canonical
+from .render import render_canonical
 from .report import ReportDocument, Verdict
 
 COMMANDS = ("decompose", "forms", "johnson", "act", "audit", "invariants")
 
 
-def _params(cfg: JobConfig) -> TorelliParams:
-    return TorelliParams(
-        kappa1=cfg.kappa1 if cfg.kappa1 is not None else Fraction(0),
-        kappa2=cfg.kappa2 if cfg.kappa2 is not None else DEFAULT_KAPPA2)
-
-
-def _arg(cfg: JobConfig, key: str) -> str:
-    try:
-        return cfg.args[key]
-    except KeyError:
-        raise ConfigError(f"command {cfg.command!r} needs an [args] entry {key!r}") from None
-
-
 def _named_multivector(cfg: JobConfig, key: str, degree: int) -> tuple[str, Multivector]:
-    name = _arg(cfg, key)
-    if name not in cfg.multivectors:
-        raise ConfigError(f"unknown multivector {name!r} (from args.{key})")
-    x = cfg.multivectors[name]
+    name, x = cfg.named(key, "multivector")
     if x.degree != degree:
-        raise ConfigError(f"multivector {name!r} has degree {x.degree}, need {degree}")
+        raise cfg.arg_error(key, f"multivector {name!r} has degree {x.degree}, need {degree}")
     return name, x
 
 
 def _new_report(cfg: JobConfig) -> ReportDocument:
-    space = cfg.require_space()
-    p = _params(cfg)
     return ReportDocument(
-        command=cfg.command, genus=space.genus,
-        params={"kappa1": render_canonical(p.kappa1),
-                "kappa2": render_canonical(p.kappa2), "seed": cfg.seed})
+        command=cfg.command, genus=cfg.require_space().genus,
+        params={"kappa1": render_canonical(cfg.kappa1),
+                "kappa2": render_canonical(cfg.kappa2), "seed": cfg.seed})
 
 
 def _run_decompose(cfg: JobConfig) -> ReportDocument:
@@ -94,9 +76,9 @@ _FORM_DEGREES = {"omega3": 3, "q2": 2, "phi": 3}
 
 def _run_forms(cfg: JobConfig) -> ReportDocument:
     report = _new_report(cfg)
-    form = _arg(cfg, "form")
+    form = cfg.arg("form")
     if form not in _FORM_DEGREES:
-        raise ConfigError(f"unknown form {form!r}; choose omega3, q2 or phi")
+        raise cfg.arg_error("form", f"unknown form {form!r}; choose omega3, q2 or phi")
     degree = _FORM_DEGREES[form]
     lname, left = _named_multivector(cfg, "left", degree)
     rname, right = _named_multivector(cfg, "right", degree)
@@ -124,10 +106,7 @@ def _johnson_pair_body(cfg: JobConfig, report: ReportDocument):
     Returns the primitive Johnson element, or None when the cross-side
     identity fails (the verdicts then record the failure).
     """
-    name = _arg(cfg, "pair")
-    if name not in cfg.pairs:
-        raise ConfigError(f"unknown boundingpair {name!r} (from args.pair)")
-    b = cfg.pairs[name]
+    name, b = cfg.named("pair", "boundingpair")
     jp = johnson_pair(b)
     report.inputs.update({
         "pair": name,
@@ -156,10 +135,7 @@ def _run_johnson(cfg: JobConfig) -> ReportDocument:
     if "pair" in cfg.args:
         _johnson_pair_body(cfg, report)
         return report
-    name = _arg(cfg, "subsurface")
-    if name not in cfg.subsurfaces:
-        raise ConfigError(f"unknown subsurface {name!r} (from args.subsurface)")
-    s = cfg.subsurfaces[name]
+    name, s = cfg.named("subsurface", "subsurface")
     j = johnson_element(s)
     report.inputs = {"subsurface": name, "boundary": render_canonical(s.d),
                      "genus_of_side": s.genus}
@@ -175,11 +151,11 @@ def _run_johnson(cfg: JobConfig) -> ReportDocument:
 
 def _run_act(cfg: JobConfig) -> ReportDocument:
     report = _new_report(cfg)
-    params = _params(cfg)
+    params = cfg.params
     tname, top = _named_multivector(cfg, "top", 3)
     if not is_primitive(top):
-        raise ConfigError(f"multivector {tname!r} is not primitive; "
-                          "decompose it first and act with the primitive part")
+        raise cfg.arg_error("top", f"multivector {tname!r} is not primitive; "
+                            "decompose it first and act with the primitive part")
     report.inputs = {"top": tname, "top_value": render_canonical(top)}
     j = _johnson_pair_body(cfg, report)
     if j is None:
@@ -219,18 +195,16 @@ def _run_audit(cfg: JobConfig) -> ReportDocument:
 
 
 def _run_invariants(cfg: JobConfig) -> ReportDocument:
-    space = cfg.require_space()
     report = _new_report(cfg)
-    rounds = 10
-    if "rounds" in cfg.args:
-        try:
-            rounds = int(cfg.args["rounds"])
-        except ValueError:
-            raise ConfigError(f"rounds must be an integer, got {cfg.args['rounds']!r}") from None
-        if rounds < 1:
-            raise ConfigError("rounds must be positive")
+    rounds = cfg.args.get("rounds", "10")
+    try:
+        rounds = int(rounds)
+    except ValueError:
+        raise cfg.arg_error("rounds", f"rounds must be an integer, got {rounds!r}") from None
+    if rounds < 1:
+        raise cfg.arg_error("rounds", "rounds must be positive")
     report.inputs = {"seed": cfg.seed, "rounds": rounds}
-    report.verdicts = run_invariant_checks(genus=space.genus, seed=cfg.seed,
+    report.verdicts = run_invariant_checks(genus=report.genus, seed=cfg.seed,
                                            rounds=rounds)
     return report
 
@@ -250,7 +224,6 @@ def run_job(cfg: JobConfig) -> ReportDocument:
     if cfg.command not in _HANDLERS:
         raise ConfigError(f"unknown command {cfg.command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
-    _params(cfg)  # validate kappa overrides before doing any work
     return _HANDLERS[cfg.command](cfg)
 
 
@@ -260,21 +233,18 @@ def build_config(command: str, config_path: str | None = None,
     """Resolve fixture, config file and flag overrides into one JobConfig."""
     cfg = config_from_fixture(fixture) if fixture else JobConfig()
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), base=cfg)
-    if genus is not None:
-        if cfg.genus is not None and cfg.genus != genus:
-            raise ConfigError(f"--genus {genus} conflicts with configured genus {cfg.genus}")
-        cfg.space = SymplecticSpace(genus)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {config_path!r}: {exc}") from None
+        cfg = parse_config(text, base=cfg)
+    for key, value in (("genus", genus), ("seed", seed), ("kappa1", kappa1),
+                       ("kappa2", kappa2), ("command", command)):
+        if value is not None:
+            set_top_level(cfg, key, value)
     if cfg.space is None:
-        cfg.space = SymplecticSpace(3)
-    if seed is not None:
-        cfg.seed = seed
-    if kappa1 is not None:
-        cfg.kappa1 = Fraction(kappa1)
-    if kappa2 is not None:
-        cfg.kappa2 = Fraction(kappa2)
-    cfg.command = command
+        set_top_level(cfg, "genus", 3)
     return cfg
 
 
@@ -282,8 +252,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="job config file")
     p.add_argument("--fixture", metavar="NAME",
                    help=f"built-in configuration ({', '.join(FIXTURE_NAMES)})")
-    p.add_argument("--genus", type=int, help="ambient genus (default 3)")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--genus", help="ambient genus (default 3)")
+    p.add_argument("--seed", help="seed for randomized checks")
     p.add_argument("--kappa1", metavar="Q", help="scalar-shear coefficient, rational")
     p.add_argument("--kappa2", metavar="Q", help="sym2-shear coefficient, rational")
     p.add_argument("--format", choices=("text", "json"), default="text",
@@ -316,12 +286,12 @@ def main(argv=None) -> int:
                            fixture=args.fixture, genus=args.genus,
                            seed=args.seed, kappa1=args.kappa1, kappa2=args.kappa2)
         report = run_job(cfg)
-    except (ConfigError, InvalidSubsurface, InvalidBoundingPair, ParseError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        return 3
     sys.stdout.write(report.to_json() if args.fmt == "json" else report.to_text())
     return 0 if report.passed else 1
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exterior import (Multivector, SymplecticSpace, Vector, as_rational)
-from .johnson import (BoundingPairSpec, Fixture, InvalidBoundingPair,
-                      InvalidSubsurface, SubsurfaceSpec, builtin_fixture)
+from .h3model import DEFAULT_KAPPA2, TorelliParams
+from .johnson import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
+                      SubsurfaceSpec, builtin_fixture)
 from .render import ParseError, parse_multivector, parse_vector
 
 _KINDS = ("vector", "multivector", "subsurface", "boundingpair", "args")
-_TOP_KEYS = ("genus", "command", "seed", "kappa1", "kappa2")
 
 
 class ConfigError(ValueError):
@@ -37,28 +37,59 @@ class JobConfig:
 
     command: str | None = None
     seed: int = 0
-    kappa1: Fraction | None = None
-    kappa2: Fraction | None = None
+    kappa1: Fraction = Fraction(0)
+    kappa2: Fraction = DEFAULT_KAPPA2
     space: SymplecticSpace | None = None
     vectors: dict[str, Vector] = field(default_factory=dict)
     multivectors: dict[str, Multivector] = field(default_factory=dict)
     subsurfaces: dict[str, SubsurfaceSpec] = field(default_factory=dict)
     pairs: dict[str, BoundingPairSpec] = field(default_factory=dict)
     args: dict[str, str] = field(default_factory=dict)
+    arg_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def genus(self) -> int | None:
         return self.space.genus if self.space is not None else None
+
+    @property
+    def params(self) -> TorelliParams:
+        return TorelliParams(self.kappa1, self.kappa2)
 
     def require_space(self) -> SymplecticSpace:
         if self.space is None:
             raise ConfigError("no genus given (set `genus = ...` or use a fixture)")
         return self.space
 
+    def table(self, kind: str) -> dict:
+        """The named objects of one section kind."""
+        return {"vector": self.vectors, "multivector": self.multivectors,
+                "subsurface": self.subsurfaces, "boundingpair": self.pairs}[kind]
+
+    def arg(self, key: str) -> str:
+        """The [args] entry `key`, which the command cannot run without."""
+        if key not in self.args:
+            raise ConfigError(f"command {self.command!r} needs an [args] entry {key!r}")
+        return self.args[key]
+
+    def arg_error(self, key: str, message: str) -> ConfigError:
+        """A ConfigError about [args] entry `key`, at its line when it came from a file."""
+        return ConfigError(message, self.arg_lines.get(key))
+
+    def named(self, key: str, kind: str):
+        """(name, object) for the [args] entry `key` naming an object of `kind`."""
+        name = self.arg(key)
+        table = self.table(kind)
+        if name not in table:
+            raise self.arg_error(key, f"unknown {kind} {name!r} (from args.{key})")
+        return name, table[name]
+
 
 def config_from_fixture(name: str) -> JobConfig:
     """Seed a JobConfig with a built-in fixture's named objects."""
-    fx: Fixture = builtin_fixture(name)
+    try:
+        fx = builtin_fixture(name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cfg = JobConfig(space=fx.space)
     cfg.vectors.update(fx.vectors)
     cfg.multivectors.update(fx.multivectors)
@@ -154,45 +185,32 @@ def _coeff_list(value: str, lineno: int) -> list[Fraction]:
 
 
 def _build_vector(cfg, name, items, lineno):
-    space = cfg.require_space()
-    keys = _unique_items(items, "vector", ("coeffs", "expr"))
-    if ("coeffs" in keys) == ("expr" in keys):
-        raise ConfigError(f"vector {name!r} needs exactly one of coeffs/expr", lineno)
-    if "coeffs" in keys:
-        value, ln = keys["coeffs"][0]
-        coeffs = _coeff_list(value, ln)
-        if len(coeffs) != space.dim:
-            raise ConfigError(
-                f"vector {name!r} needs {space.dim} coefficients, got {len(coeffs)}", ln)
-        return Vector(space, coeffs)
-    value, ln = keys["expr"][0]
-    try:
-        return parse_vector(space, value)
-    except ParseError as exc:
-        raise ConfigError(str(exc), ln) from None
+    return _build_multivector(cfg, name, items, lineno, kind="vector").to_vector()
 
 
-def _build_multivector(cfg, name, items, lineno):
+def _build_multivector(cfg, name, items, lineno, kind="multivector"):
+    """A multivector section, or a vector section (degree 1, no degree key)."""
     space = cfg.require_space()
-    keys = _unique_items(items, "multivector", ("coeffs", "expr", "degree"))
-    degree = None
+    vector = kind == "vector"
+    allowed = ("coeffs", "expr") if vector else ("coeffs", "expr", "degree")
+    keys = _unique_items(items, kind, allowed)
+    degree = 1 if vector else None
     if "degree" in keys:
         value, ln = keys["degree"][0]
         degree = _parse_int(value, ln, "degree")
     if ("coeffs" in keys) == ("expr" in keys):
-        raise ConfigError(f"multivector {name!r} needs exactly one of coeffs/expr", lineno)
+        raise ConfigError(f"{kind} {name!r} needs exactly one of coeffs/expr", lineno)
     if "coeffs" in keys:
         if degree is None:
-            raise ConfigError(f"multivector {name!r} with coeffs needs a degree", lineno)
+            raise ConfigError(f"{kind} {name!r} with coeffs needs a degree", lineno)
         value, ln = keys["coeffs"][0]
         coeffs = _coeff_list(value, ln)
-        tuples = space.basis_tuples(degree) if degree in (1, 2, 3) else None
-        if tuples is None:
+        if degree not in (1, 2, 3):
             raise ConfigError(f"degree must be 1, 2 or 3, got {degree}", lineno)
+        tuples = space.basis_tuples(degree)
         if len(coeffs) != len(tuples):
             raise ConfigError(
-                f"degree-{degree} multivector needs {len(tuples)} coefficients, "
-                f"got {len(coeffs)}", ln)
+                f"{kind} {name!r} needs {len(tuples)} coefficients, got {len(coeffs)}", ln)
         return Multivector(space, degree,
                            {t: c for t, c in zip(tuples, coeffs) if c})
     value, ln = keys["expr"][0]
@@ -239,8 +257,7 @@ def _build_boundingpair(cfg, name, items, lineno):
 
 
 def _register(cfg: JobConfig, kind: str, name: str, value, lineno: int):
-    table = {"vector": cfg.vectors, "multivector": cfg.multivectors,
-             "subsurface": cfg.subsurfaces, "boundingpair": cfg.pairs}[kind]
+    table = cfg.table(kind)
     space = cfg.require_space()
     if kind == "vector" and _is_basis_label(space, name):
         raise ConfigError(f"name {name!r} shadows a basis label", lineno)
@@ -251,30 +268,42 @@ def _register(cfg: JobConfig, kind: str, name: str, value, lineno: int):
     table[name] = value
 
 
+def set_top_level(cfg: JobConfig, key: str, value, lineno: int | None = None) -> None:
+    """Validate one top-level setting and store it on cfg.
+
+    Config lines and command-line flags both come through here, so a
+    flag obeys the same rules and gets the same messages as its line.
+    """
+    if key == "command":
+        cfg.command = value.strip()
+    elif key == "seed":
+        cfg.seed = _parse_int(value, lineno, "seed")
+    elif key == "genus":
+        genus = _parse_int(value, lineno, "genus")
+        if cfg.genus is not None and cfg.genus != genus:
+            raise ConfigError(
+                f"genus {genus} conflicts with already-set genus {cfg.genus}", lineno)
+        try:
+            cfg.space = SymplecticSpace(genus)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
+    elif key in ("kappa1", "kappa2"):
+        q = _parse_rational(value, lineno, key)
+        try:
+            TorelliParams(**{key: q})
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
+        setattr(cfg, key, q)
+    else:
+        raise ConfigError(f"unknown top-level key {key!r}", lineno)
+
+
 def parse_config(text: str, base: JobConfig | None = None) -> JobConfig:
     """Parse config text, optionally extending a fixture-seeded base."""
     cfg = base if base is not None else JobConfig()
     top, sections = _split_sections(text)
     for key, value, lineno in top:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown top-level key {key!r}", lineno)
-        if key == "genus":
-            genus = _parse_int(value, lineno, "genus")
-            if cfg.genus is not None and cfg.genus != genus:
-                raise ConfigError(
-                    f"genus {genus} conflicts with already-set genus {cfg.genus}", lineno)
-            try:
-                cfg.space = SymplecticSpace(genus)
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
-        elif key == "command":
-            cfg.command = value.strip()
-        elif key == "seed":
-            cfg.seed = _parse_int(value, lineno, "seed")
-        elif key == "kappa1":
-            cfg.kappa1 = _parse_rational(value, lineno, "kappa1")
-        elif key == "kappa2":
-            cfg.kappa2 = _parse_rational(value, lineno, "kappa2")
+        set_top_level(cfg, key, value, lineno)
     builders = {"vector": _build_vector, "multivector": _build_multivector,
                 "subsurface": _build_subsurface, "boundingpair": _build_boundingpair}
     for section in sections:
@@ -282,6 +311,7 @@ def parse_config(text: str, base: JobConfig | None = None) -> JobConfig:
         if kind == "args":
             for key, value, ln in section["items"]:
                 cfg.args[key] = value.strip()
+                cfg.arg_lines[key] = ln
             continue
         value = builders[kind](cfg, name, section["items"], lineno)
         _register(cfg, kind, name, value, lineno)

@@ -70,6 +70,10 @@ class TestExitCodes:
         assert out.endswith("status: FAIL\n")
 
     def test_input_errors_are_two(self, capsys, tmp_path):
+        kappa2_zero = tmp_path / "kappa2.cfg"
+        kappa2_zero.write_text("genus = 3\nkappa2 = 0\n")
+        not_utf8 = tmp_path / "latin1.cfg"
+        not_utf8.write_bytes(b"genus = 3\n# caf\xe9\n")
         cases = [
             ("act", "--fixture", "no-such-fixture"),
             ("act", "--genus", "1"),
@@ -77,12 +81,38 @@ class TestExitCodes:
             ("act", "--fixture", "paper-figure-1", "--genus", "4"),
             ("act", "--fixture", "paper-figure-1", "--kappa2", "0"),
             ("act", "--config", str(tmp_path / "missing.cfg")),
+            ("act", "--genus", "0"),
+            ("act", "--fixture", "paper-figure-1", "--kappa1", "1/0"),
+            ("act", "--fixture", "paper-figure-1", "--kappa1", "x"),
+            ("act", "--config", str(tmp_path)),
+            ("act", "--config", str(not_utf8)),
+            ("act", "--config", str(kappa2_zero)),
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error:"), argv
             assert out == "", argv
+        assert "line 2: kappa2 must be nonzero" in err  # the last case
+        # flags are checked while the config is built, not when the job runs
+        for flags in ({"fixture": "no-such-fixture"}, {"genus": 1}, {"genus": 0},
+                      {"fixture": "paper-figure-1", "genus": 4},
+                      {"fixture": "paper-figure-1", "kappa2": "0"},
+                      {"fixture": "paper-figure-1", "kappa1": "1/0"},
+                      {"fixture": "paper-figure-1", "kappa1": "x"}):
+            with pytest.raises(ConfigError):
+                build_config("act", **flags)
+
+    def test_program_bug_exits_three(self, capsys, monkeypatch):
+        """An exception that is not a ConfigError is a bug, not bad input."""
+        def broken_audit(space):
+            raise ValueError("injected bug")
+        monkeypatch.setattr(torelli.cli, "dimension_audit", broken_audit)
+        code, out, err = run(capsys, "audit")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.rstrip().endswith("ValueError: injected bug")
 
     def test_non_primitive_top_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad_top.cfg"
@@ -91,6 +121,46 @@ class TestExitCodes:
                              "--config", str(path))
         assert code == 2
         assert "not primitive" in err
+
+
+class TestArgsLines:
+    """An error about an [args] entry from a file names the entry's line."""
+
+    @pytest.mark.parametrize("command, fixture, text, message", [
+        ("johnson", "paper-figure-1", "[args]\npair = nope\n",
+         "line 2: unknown boundingpair 'nope' (from args.pair)"),
+        ("johnson", None, "genus = 3\n[args]\nsubsurface = nope\n",
+         "line 3: unknown subsurface 'nope' (from args.subsurface)"),
+        ("decompose", "paper-figure-1", "[multivector m]\nexpr = a1^b1\n[args]\ninput = m\n",
+         "line 4: multivector 'm' has degree 2, need 3"),
+        ("act", "paper-figure-1", "[multivector bad]\nexpr = a1^b1^a2\n[args]\ntop = bad\n",
+         "line 4: multivector 'bad' is not primitive; "),
+        ("forms", "paper-figure-1", "[args]\nform = psi\n",
+         "line 2: unknown form 'psi'; choose omega3, q2 or phi"),
+        ("invariants", None, "genus = 3\n[args]\nrounds = many\n",
+         "line 3: rounds must be an integer, got 'many'"),
+        ("invariants", None, "genus = 3\n[args]\n\nrounds = 0\n",
+         "line 4: rounds must be positive"),
+    ], ids=["unknown-pair", "unknown-subsurface", "wrong-degree", "top-not-primitive",
+            "unknown-form", "rounds-not-integer", "rounds-not-positive"])
+    def test_error_names_line(self, tmp_path, command, fixture, text, message):
+        path = tmp_path / "job.cfg"
+        path.write_text(text)
+        cfg = build_config(command, config_path=str(path), fixture=fixture)
+        with pytest.raises(ConfigError) as info:
+            run_job(cfg)
+        assert str(info.value).startswith(message)
+        assert info.value.line == int(message.split()[1].rstrip(":"))
+
+    def test_fixture_default_has_no_line(self, tmp_path):
+        """The fixture's own `top = top` entry has no line to name."""
+        path = tmp_path / "job.cfg"
+        path.write_text("[multivector top]\nexpr = a1^b1^a2\n")
+        cfg = build_config("act", config_path=str(path), fixture="paper-figure-1")
+        with pytest.raises(ConfigError) as info:
+            run_job(cfg)
+        assert str(info.value).startswith("multivector 'top' is not primitive; ")
+        assert info.value.line is None
 
 
 class TestCommands:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli import (ConfigError, config_from_fixture, johnson_bp,
                      parse_config, wedge)
@@ -252,3 +254,85 @@ class TestHeaders:
     def test_fraction_values_survive(self):
         cfg = parse_config("genus = 2\nkappa1 = 2/3\n")
         assert cfg.kappa1 == Fraction(2, 3)
+
+
+# A token grammar for config text: mostly well-formed sections, so that
+# draws reach the section builders, with bad lines mixed in everywhere.
+# Genus stays at 1-4 so that no draw builds a large space.
+NAMES = st.sampled_from(["u", "m", "s", "s2", "bp", "top", "a1", "d", "side1", "side2"])
+LABELS = st.sampled_from(["a1", "b1", "a2", "b2", "a3", "b3", "a4", "b5", "a0", "c1"])
+NUMBERS = st.sampled_from(["0", "1", "-2", "3/4", "-5/7", "1/0", "0.5", "x", "1,"])
+COEFF_LINES = st.one_of(
+    st.lists(NUMBERS, max_size=8),
+    st.sampled_from([4, 6, 15, 20]).flatmap(
+        lambda n: st.lists(st.sampled_from(["0", "1", "-1/2"]), min_size=n, max_size=n)),
+).map(lambda cs: "coeffs = " + " ".join(cs))
+TERMS = st.builds(lambda c, labels: f"{c} {'^'.join(labels)}".strip(),
+                  st.sampled_from(["", "", "2", "-1/2", "1/0", "0.5", "x"]),
+                  st.lists(LABELS, min_size=1, max_size=3))
+VECTORS = st.sampled_from(["a1", "b1", "a2", "b2", "a3", "b3", "-a1", "2 b2", "d"])
+EXPRS = st.one_of(
+    VECTORS,
+    st.lists(TERMS, min_size=1, max_size=3).map(" + ".join),
+    st.lists(LABELS, min_size=1, max_size=2).map(" - ".join),
+    st.sampled_from(["0", "", "- a1", "a1 +", "a1 - - b1"]),
+    NAMES)
+BAD_LINES = st.sampled_from(["[args extra]", "[gadget u]", "[vector]", "[vector u", "[]",
+                             "flavor = mint", "genus 3", "= 3", "# comment", ""])
+
+
+def _mostly(good):
+    """Draws of `good`, with one line in eight from BAD_LINES instead."""
+    return st.tuples(st.integers(0, 7), good, BAD_LINES).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+GENUS_LINES = st.builds("genus = {}".format,
+                        st.sampled_from(["2", "3", "3", "4", "4", "1", "x"]))
+TOP_LINES = st.one_of(
+    GENUS_LINES,
+    st.builds("seed = {}".format, st.sampled_from(["0", "7", "-3", "1/2"])),
+    st.builds("{} = {}".format, st.sampled_from(["kappa1", "kappa2"]), NUMBERS),
+    st.builds("command = {}".format, st.sampled_from(["act", "paint", ""])))
+BODY_LINES = {
+    "vector": st.one_of(COEFF_LINES, EXPRS.map("expr = {}".format)),
+    "multivector": st.one_of(
+        COEFF_LINES,
+        EXPRS.map("expr = {}".format),
+        st.sampled_from(["0", "1", "2", "3", "3", "4", "x"]).map("degree = {}".format)),
+    "subsurface": st.one_of(
+        st.one_of(VECTORS, EXPRS).map("boundary = {}".format),
+        st.builds("pair = {}, {}".format, VECTORS, VECTORS),
+        st.builds("pair = {}, {}".format, EXPRS, EXPRS),
+        EXPRS.map("pair = {}".format)),
+    "boundingpair": st.builds("{} = {}".format, st.sampled_from(["side1", "side2"]), NAMES),
+    "args": st.builds("{} = {}".format,
+                      st.sampled_from(["top", "pair", "form", "rounds", "left", "input"]),
+                      st.one_of(NAMES, NUMBERS)),
+}
+
+
+def _section(kind):
+    header = st.just("[args]") if kind == "args" else NAMES.map(f"[{kind} {{}}]".format)
+    body = st.lists(_mostly(BODY_LINES[kind]), max_size=4)
+    return st.builds(lambda h, lines: [h, *lines], header, body)
+
+
+CONFIG_TEXT = st.builds(
+    lambda genus, top, sections: "\n".join(
+        [genus, *top] + [line for sec in sections for line in sec]),
+    _mostly(GENUS_LINES),
+    st.lists(_mostly(TOP_LINES), max_size=2),
+    st.lists(st.sampled_from(sorted(BODY_LINES)).flatmap(_section), max_size=4))
+
+
+class TestFuzz:
+    @given(CONFIG_TEXT)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_parse_returns_or_raises_config_error(self, text):
+        """Any text either parses or raises ConfigError, with or without a base."""
+        for base in (None, "paper-figure-1"):
+            try:
+                parse_config(text, base=config_from_fixture(base) if base else None)
+            except ConfigError:
+                pass
