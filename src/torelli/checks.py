@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .exterior import (Multivector, SymplecticSpace, Vector, contraction3,
@@ -129,102 +130,80 @@ def respecify(b: BoundingPairSpec, rng: random.Random,
 
 def run_invariant_checks(genus: int = 3, seed: int = 0,
                          rounds: int = 10) -> list[Verdict]:
-    """Run every identity check at the given genus; deterministic in (genus, seed)."""
+    """Run every identity check at the given genus; deterministic in (genus, seed).
+
+    Each randomized verdict is one `holds(sample, identity)`: every round
+    draws its inputs with `sample()` and passes only when
+    `identity(*inputs)` returns True itself.  All rounds run whatever the
+    outcome, so a failing round never changes what a later check draws.
+    """
     space = SymplecticSpace(genus)
     rng = random.Random(seed)
     out: list[Verdict] = []
 
-    def sample_pairs(degree):
-        return [(random_multivector(space, degree, rng, denominators=True),
-                 random_multivector(space, degree, rng, denominators=True))
-                for _ in range(rounds)]
+    def holds(sample, identity) -> bool:
+        # a list, not a generator, so that no failure cuts the rounds short
+        results = [identity(*sample()) is True for _ in range(rounds)]
+        return all(results)
 
-    ok = True
-    for _ in range(rounds):
-        u = random_vector(space, rng)
-        x = random_multivector(space, 1, rng)
-        ok = ok and wedge(u, u).is_zero() and wedge(x, x).is_zero()
-    out.append(Verdict("wedge-alternating", ok))
+    def check(name, sample, identity, detail=""):
+        out.append(Verdict(name, holds(sample, identity), detail))
 
-    ok = True
-    for _ in range(rounds):
-        u, v = random_vector(space, rng), random_vector(space, rng)
-        w = random_multivector(space, 2, rng)
-        lhs = wedge(u + v, w)
-        rhs = wedge(u, w) + wedge(v, w)
-        ok = ok and lhs == rhs
-    out.append(Verdict("wedge-bilinear", ok))
+    def mv(degree, denominators=False):
+        return random_multivector(space, degree, rng, denominators=denominators)
 
-    ok = True
-    for _ in range(rounds):
-        x = random_multivector(space, 1, rng)
-        y = random_multivector(space, 2, rng)
-        ok = ok and wedge(x, y) == Fraction(-1) ** (1 * 2) * wedge(y, x)
-        u, v = random_vector(space, rng), random_vector(space, rng)
-        ok = ok and wedge(u, v) == -1 * wedge(v, u)
-    out.append(Verdict("wedge-graded-commutation", ok))
+    vec = partial(random_vector, space, rng)
+    prim = partial(random_primitive, space, rng)
+    sym2 = partial(random_sym2, space, rng)
+    twist = partial(random_transvection, space, rng)
+    pair = partial(random_bounding_pair, space, rng)
 
-    ok = True
-    for _ in range(rounds):
-        u, v, w = (random_vector(space, rng) for _ in range(3))
-        ok = ok and wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
-    out.append(Verdict("wedge-associative", ok))
+    check("wedge-alternating", lambda: (vec(), mv(1)),
+          lambda u, x: wedge(u, u).is_zero() and wedge(x, x).is_zero())
+    check("wedge-bilinear", lambda: (vec(), vec(), mv(2)),
+          lambda u, v, w: wedge(u + v, w) == wedge(u, w) + wedge(v, w))
+    check("wedge-graded-commutation", lambda: (mv(1), mv(2), vec(), vec()),
+          lambda x, y, u, v: (wedge(x, y) == Fraction(-1) ** (1 * 2) * wedge(y, x)
+                              and wedge(u, v) == -1 * wedge(v, u)))
+    check("wedge-associative", lambda: (vec(), vec(), vec()),
+          lambda u, v, w: wedge(wedge(u, v), w) == wedge(u, wedge(v, w)))
 
-    ok = True
-    for _ in range(rounds):
-        u, v, w = (random_vector(space, rng) for _ in range(3))
+    def contraction_well_defined(u, v, w):
         base = contraction3(wedge(u, v, w))
-        for perm, sign in (((v, u, w), -1), ((v, w, u), 1), ((w, u, v), 1)):
-            ok = ok and contraction3(wedge(*perm)) == sign * base
-    out.append(Verdict("contraction-well-defined", ok))
+        return all(contraction3(wedge(*perm)) == sign * base
+                   for perm, sign in (((v, u, w), -1), ((v, w, u), 1), ((w, u, v), 1)))
+    check("contraction-well-defined", lambda: (vec(), vec(), vec()),
+          contraction_well_defined)
 
     ok = all(contraction3(wedge(delta(space), space.basis_vector(i)))
              == (genus - 1) * space.basis_vector(i) for i in range(space.dim))
     out.append(Verdict("projector-normalization", ok,
                        f"contraction3(delta^v) = {genus - 1} v on the basis"))
 
-    idem, kills, recon = True, True, True
-    for _ in range(rounds):
-        x = random_multivector(space, 3, rng, denominators=True)
-        p, _, dw = split_primitive(x)
-        idem = idem and project_primitive(p) == p
-        kills = kills and contraction3(p).is_zero()
-        recon = recon and p + dw == x
-    out.append(Verdict("projector-idempotent", idem))
-    out.append(Verdict("projector-kills-contraction", kills))
-    out.append(Verdict("splitting-reconstructs", recon))
+    # one draw per round serves all three projector verdicts
+    splits = [(x, *split_primitive(x)) for x in [mv(3, True) for _ in range(rounds)]]
+    for name, identity in (
+            ("projector-idempotent", lambda x, p, w, dw: project_primitive(p) == p),
+            ("projector-kills-contraction", lambda x, p, w, dw: contraction3(p).is_zero()),
+            ("splitting-reconstructs", lambda x, p, w, dw: p + dw == x)):
+        check(name, iter(splits).__next__, identity)
 
     audit = dimension_audit(space)
     r1, r2, expected = audit.projector_rank, audit.isotropic_rank, audit.quotient_dim
     out.append(Verdict("primitive-rank-two-ways", r1 == r2 == expected,
                        f"projector {r1}, isotropic span {r2}, count {expected}"))
 
-    ok = True
-    for x, y in sample_pairs(2):
-        ok = ok and q2(x, y) == q2(y, x)
-    out.append(Verdict("q2-symmetric", ok))
-
-    ok = True
-    for _ in range(rounds):
-        u, v = random_vector(space, rng), random_vector(space, rng)
-        ok = ok and q2(delta(space), wedge(u, v)) == intersection(u, v)
-    ok = ok and q2(delta(space), delta(space)) == genus
-    out.append(Verdict("q2-represents-pairing", ok,
+    check("q2-symmetric", lambda: (mv(2, True), mv(2, True)),
+          lambda x, y: q2(x, y) == q2(y, x))
+    ok = holds(lambda: (vec(), vec()),
+               lambda u, v: q2(delta(space), wedge(u, v)) == intersection(u, v))
+    out.append(Verdict("q2-represents-pairing", ok and q2(delta(space), delta(space)) == genus,
                        "q2(delta, u^v) = u.v and q2(delta, delta) = g"))
-
-    ok = True
-    for s, t in sample_pairs(3):
-        ok = ok and omega3(s, t) == -omega3(t, s)
-    out.append(Verdict("omega3-antisymmetric", ok))
-
-    ok = True
-    for _ in range(rounds):
-        t = random_transvection(space, rng)
-        s1, s2 = random_multivector(space, 3, rng), random_multivector(space, 3, rng)
-        x1, x2 = random_multivector(space, 2, rng), random_multivector(space, 2, rng)
-        ok = ok and omega3(t.apply(s1), t.apply(s2)) == omega3(s1, s2)
-        ok = ok and q2(t.apply(x1), t.apply(x2)) == q2(x1, x2)
-    out.append(Verdict("omega3-q2-transvection-invariant", ok))
+    check("omega3-antisymmetric", lambda: (mv(3, True), mv(3, True)),
+          lambda s, t: omega3(s, t) == -omega3(t, s))
+    check("omega3-q2-transvection-invariant", lambda: (twist(), mv(3), mv(3), mv(2), mv(2)),
+          lambda t, s1, s2, x1, x2: (omega3(t.apply(s1), t.apply(s2)) == omega3(s1, s2)
+                                     and q2(t.apply(x1), t.apply(x2)) == q2(x1, x2)))
 
     basis = primitive_basis(space)
     gram = [[omega3(x, y) for y in basis] for x in basis]
@@ -232,100 +211,62 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
     out.append(Verdict("omega3-primitive-gram-rank", rank == expected == len(basis),
                        f"rank {rank} on a {len(basis)}-element primitive basis"))
 
-    ok = True
-    for _ in range(rounds):
-        x = random_multivector(space, 3, rng, denominators=True)
-        v = random_vector(space, rng)
-        ok = ok and omega3(project_primitive(x), wedge(delta(space), v)) == 0
-    out.append(Verdict("omega3-splitting-orthogonal", ok,
-                       "measured: the two summands pair to zero"))
+    check("omega3-splitting-orthogonal", lambda: (mv(3, True), vec()),
+          lambda x, v: omega3(project_primitive(x), wedge(delta(space), v)) == 0,
+          "measured: the two summands pair to zero")
+    check("phi-symmetric", lambda: (mv(3, True), mv(3, True)),
+          lambda s, t: phi(s, t) == phi(t, s))
+    check("phi-transvection-equivariant", lambda: (twist(), mv(3), mv(3)),
+          lambda t, s1, s2: phi(t.apply(s1), t.apply(s2)) == t.apply(phi(s1, s2)))
+    check("phi-sees-only-primitive-part", lambda: (mv(3, True), prim()),
+          lambda x, w: phi(x, w) == phi(project_primitive(x), w),
+          "measured: phi(delta^v, w) = 0 for primitive w")
 
-    ok = True
-    for s, t in sample_pairs(3):
-        ok = ok and phi(s, t) == phi(t, s)
-    out.append(Verdict("phi-symmetric", ok))
-
-    ok = True
-    for _ in range(rounds):
-        t = random_transvection(space, rng)
-        s1, s2 = random_multivector(space, 3, rng), random_multivector(space, 3, rng)
-        ok = ok and phi(t.apply(s1), t.apply(s2)) == t.apply(phi(s1, s2))
-    out.append(Verdict("phi-transvection-equivariant", ok))
-
-    ok = True
-    for _ in range(rounds):
-        x = random_multivector(space, 3, rng, denominators=True)
-        w = random_primitive(space, rng)
-        ok = ok and phi(x, w) == phi(project_primitive(x), w)
-    out.append(Verdict("phi-sees-only-primitive-part", ok,
-                       "measured: phi(delta^v, w) = 0 for primitive w"))
-
-    ok = True
-    for _ in range(rounds):
-        t = random_transvection(space, rng)
-        u, v = random_vector(space, rng), random_vector(space, rng)
-        ok = ok and intersection(t.apply_vector(u), t.apply_vector(v)) == intersection(u, v)
-        ok = ok and t.apply_vector(t.apply_vector(u), inverse=True) == u
-    ok = ok and all(random_transvection(space, rng).apply(delta(space)) == delta(space)
-                    for _ in range(rounds))
-    out.append(Verdict("transvection-symplectic", ok,
+    preserves = holds(lambda: (twist(), vec(), vec()),
+                      lambda t, u, v: (intersection(t.apply_vector(u), t.apply_vector(v))
+                                       == intersection(u, v)
+                                       and t.apply_vector(t.apply_vector(u), inverse=True) == u))
+    fixes_delta = holds(lambda: (twist(),),
+                        lambda t: t.apply(delta(space)) == delta(space))
+    out.append(Verdict("transvection-symplectic", preserves and fixes_delta,
                        "preserves the pairing, fixes delta, inverts exactly"))
 
-    ok = True
-    for _ in range(rounds):
-        pair = johnson_pair(random_bounding_pair(space, rng))
-        ok = (ok and pair.cross_side_identity and pair.projections_agree
-              and is_primitive(pair.primitive1))
-    out.append(Verdict("johnson-cross-side-identity", ok))
+    def cross_side(b):
+        jp = johnson_pair(b)
+        return jp.cross_side_identity and jp.projections_agree and is_primitive(jp.primitive1)
+    check("johnson-cross-side-identity", lambda: (pair(),), cross_side)
 
-    ok = True
-    for _ in range(rounds):
-        b = random_bounding_pair(space, rng)
-        j = johnson_bp(b)
-        ok = ok and johnson_bp(respecify(b, rng)) == j
-        ok = ok and johnson_bp(respecify(b, rng, swap=True)) == j
-    out.append(Verdict("johnson-respec-invariant", ok))
+    def respecified():
+        b = pair()
+        return b, respecify(b, rng), respecify(b, rng, swap=True)
+    check("johnson-respec-invariant", respecified,
+          lambda b, same, swapped: johnson_bp(b) == johnson_bp(same) == johnson_bp(swapped))
+    check("johnson-contraction-genus-multiple", lambda: (pair().side1,),
+          lambda s: contraction3(johnson_element(s)) == s.genus * s.d,
+          "contraction3(j(side)) = genus(side) d, measured and frozen")
 
-    ok = True
-    for _ in range(rounds):
-        s = random_bounding_pair(space, rng).side1
-        ok = ok and contraction3(johnson_element(s)) == s.genus * s.d
-    out.append(Verdict("johnson-contraction-genus-multiple", ok,
-                       "contraction3(j(side)) = genus(side) d, measured and frozen"))
-
-    ok = True
-    for _ in range(rounds):
-        b = random_bounding_pair(space, rng)
-        ok = ok and is_identity(bounding_pair_action_matrix(b))
+    ok = holds(lambda: (pair(),), lambda b: is_identity(bounding_pair_action_matrix(b)))
     single = Transvection(space.b(1)).matrix()
     out.append(Verdict("bounding-pair-trivial-on-homology",
                        ok and not is_identity(single),
                        "composite is the identity, a lone twist is not"))
 
     params = TorelliParams(kappa1=Fraction(1, 2))
-    ok = True
-    for _ in range(rounds):
-        t1, t2 = random_primitive(space, rng), random_primitive(space, rng)
-        m = GradedH3Element(Fraction(rng.randint(-2, 2)),
-                            random_sym2(space, rng),
-                            random_primitive(space, rng))
-        ok = ok and act(t1, act(t2, m, params), params) == act(t1 + t2, m, params)
-        ok = ok and act(t1, m, params).top == m.top
-        tube = lift_tube(random_sym2(space, rng), rng.randint(-2, 2))
-        ok = ok and act(t1, tube, params) == tube
-    out.append(Verdict("action-unipotent", ok,
-                       "additive in the actor, fixes the sub, fixes the top"))
 
-    ok = True
-    for _ in range(rounds):
-        b = random_bounding_pair(space, rng)
-        w1 = random_primitive(space, rng)
-        w2 = random_primitive(space, rng)
+    def unipotent(t1, t2, m, tube):
+        return (act(t1, act(t2, m, params), params) == act(t1 + t2, m, params)
+                and act(t1, m, params).top == m.top and act(t1, tube, params) == tube)
+    check("action-unipotent",
+          lambda: (prim(), prim(), GradedH3Element(Fraction(rng.randint(-2, 2)), sym2(), prim()),
+                   lift_tube(sym2(), rng.randint(-2, 2))),
+          unipotent, "additive in the actor, fixes the sub, fixes the top")
+
+    def linear_in_top(b, w1, w2):
         var1, var2 = variation(b, w1), variation(b, w2)
         both = variation(b, w1 + w2)
-        ok = ok and both.sym2 == var1.sym2 + var2.sym2 and both.scalar == var1.scalar + var2.scalar
-        ok = ok and var1.top.is_zero()
-    out.append(Verdict("variation-linear-in-top", ok))
+        return (both.sym2 == var1.sym2 + var2.sym2 and both.scalar == var1.scalar + var2.scalar
+                and var1.top.is_zero())
+    check("variation-linear-in-top", lambda: (pair(), prim(), prim()), linear_in_top)
 
     fx = builtin_fixture("paper-figure-1")
     var = variation(fx.pairs["bp"], fx.multivectors["top"])
@@ -334,15 +275,11 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
                        var.sym2 == expect and not var.sym2.is_zero(),
                        "the genus-3 pair moves a2^b1^a3 by +a2.a3"))
 
-    ok = True
-    for _ in range(rounds):
-        v = random_vector(space, rng, denominators=True)
-        ok = ok and parse_vector(space, render_canonical(v)) == v
-        for degree in (1, 2, 3):
-            x = random_multivector(space, degree, rng, denominators=True)
-            ok = ok and parse_multivector(space, render_canonical(x), degree) == x
-        s = random_sym2(space, rng)
-        ok = ok and parse_sym2(space, render_canonical(s)) == s
-    out.append(Verdict("render-parse-round-trip", ok))
+    check("render-parse-round-trip",
+          lambda: (vec(True), [mv(degree, True) for degree in (1, 2, 3)], sym2()),
+          lambda v, xs, s: (parse_vector(space, render_canonical(v)) == v
+                            and all(parse_multivector(space, render_canonical(x), x.degree) == x
+                                    for x in xs)
+                            and parse_sym2(space, render_canonical(s)) == s))
 
     return sorted(out, key=lambda v: v.name)

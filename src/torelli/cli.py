@@ -26,9 +26,6 @@ from .linalg import is_identity
 from .render import render_canonical
 from .report import ReportDocument, Verdict
 
-COMMANDS = ("decompose", "forms", "johnson", "act", "audit", "invariants")
-
-
 def _named_multivector(cfg: JobConfig, key: str, degree: int) -> tuple[str, Multivector]:
     name, x = cfg.named(key, "multivector")
     if x.degree != degree:
@@ -71,32 +68,27 @@ def _run_decompose(cfg: JobConfig) -> ReportDocument:
     return report
 
 
-_FORM_DEGREES = {"omega3": 3, "q2": 2, "phi": 3}
+# form name -> (pairing, input degree, verdict on swapping the inputs)
+_FORMS = {"omega3": (omega3, 3, "omega3-antisymmetric-on-inputs"),
+          "q2": (q2, 2, "q2-symmetric-on-inputs"),
+          "phi": (phi, 3, "phi-symmetric-on-inputs")}
 
 
 def _run_forms(cfg: JobConfig) -> ReportDocument:
     report = _new_report(cfg)
     form = cfg.arg("form")
-    if form not in _FORM_DEGREES:
+    if form not in _FORMS:
         raise cfg.arg_error("form", f"unknown form {form!r}; choose omega3, q2 or phi")
-    degree = _FORM_DEGREES[form]
+    pairing, degree, verdict = _FORMS[form]
     lname, left = _named_multivector(cfg, "left", degree)
     rname, right = _named_multivector(cfg, "right", degree)
     report.inputs = {"form": form,
                      "left": lname, "left_value": render_canonical(left),
                      "right": rname, "right_value": render_canonical(right)}
-    if form == "omega3":
-        value = omega3(left, right)
-        check = Verdict("omega3-antisymmetric-on-inputs",
-                        omega3(right, left) == -value)
-    elif form == "q2":
-        value = q2(left, right)
-        check = Verdict("q2-symmetric-on-inputs", q2(right, left) == value)
-    else:
-        value = phi(left, right)
-        check = Verdict("phi-symmetric-on-inputs", phi(right, left) == value)
+    value = pairing(left, right)
+    swapped = -value if form == "omega3" else value
     report.outputs = {"value": render_canonical(value)}
-    report.verdicts = [check]
+    report.verdicts = [Verdict(verdict, pairing(right, left) == swapped)]
     return report
 
 
@@ -209,22 +201,23 @@ def _run_invariants(cfg: JobConfig) -> ReportDocument:
     return report
 
 
-_HANDLERS = {
-    "decompose": _run_decompose,
-    "forms": _run_forms,
-    "johnson": _run_johnson,
-    "act": _run_act,
-    "audit": _run_audit,
-    "invariants": _run_invariants,
+# command -> (handler, help), in the order `--help` lists them
+COMMANDS = {
+    "decompose": (_run_decompose, "split a 3-form into primitive and delta-wedge parts"),
+    "forms": (_run_forms, "evaluate omega3, q2 or phi on named inputs"),
+    "johnson": (_run_johnson, "Johnson element of a subsurface or bounding pair"),
+    "act": (_run_act, "variation of a lifted top class under a bounding pair"),
+    "audit": (_run_audit, "dimension bookkeeping of the graded model"),
+    "invariants": (_run_invariants, "run the randomized identity suite"),
 }
 
 
 def run_job(cfg: JobConfig) -> ReportDocument:
     """Dispatch a resolved JobConfig to its command handler."""
-    if cfg.command not in _HANDLERS:
+    if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
-    return _HANDLERS[cfg.command](cfg)
+    return COMMANDS[cfg.command][0](cfg)
 
 
 def build_config(command: str, config_path: str | None = None,
@@ -266,16 +259,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact computations with primitive 3-forms, Johnson elements "
                     "of bounding pairs, and the graded model they act on.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "decompose": "split a 3-form into primitive and delta-wedge parts",
-        "forms": "evaluate omega3, q2 or phi on named inputs",
-        "johnson": "Johnson element of a subsurface or bounding pair",
-        "act": "variation of a lifted top class under a bounding pair",
-        "audit": "dimension bookkeeping of the graded model",
-        "invariants": "run the randomized identity suite",
-    }
-    for name in COMMANDS:
-        _add_common_flags(sub.add_parser(name, help=helps[name]))
+    for name, (_, help_text) in COMMANDS.items():
+        _add_common_flags(sub.add_parser(name, help=help_text))
     return parser
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exterior import (Multivector, SymplecticSpace, Vector, as_rational)
+from .exterior import Multivector, SymplecticSpace, Vector
 from .h3model import DEFAULT_KAPPA2, TorelliParams
 from .johnson import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                       SubsurfaceSpec, builtin_fixture)
-from .render import ParseError, parse_multivector, parse_vector
+from .render import ParseError, parse_multivector, parse_rational, parse_vector
 
 _KINDS = ("vector", "multivector", "subsurface", "boundingpair", "args")
+ARG_KEYS = ("input", "form", "left", "right", "pair", "subsurface", "top", "rounds")
 
 
 class ConfigError(ValueError):
@@ -156,8 +157,8 @@ def _parse_int(value: str, lineno: int, what: str) -> int:
 
 def _parse_rational(value: str, lineno: int, what: str) -> Fraction:
     try:
-        return as_rational(value)
-    except (ValueError, ZeroDivisionError, TypeError):
+        return parse_rational(value)
+    except ParseError:
         raise ConfigError(f"{what} must be a rational, got {value!r}", lineno) from None
 
 
@@ -308,11 +309,12 @@ def parse_config(text: str, base: JobConfig | None = None) -> JobConfig:
                 "subsurface": _build_subsurface, "boundingpair": _build_boundingpair}
     for section in sections:
         kind, name, lineno = section["kind"], section["name"], section["lineno"]
-        if kind == "args":
-            for key, value, ln in section["items"]:
-                cfg.args[key] = value.strip()
-                cfg.arg_lines[key] = ln
-            continue
-        value = builders[kind](cfg, name, section["items"], lineno)
-        _register(cfg, kind, name, value, lineno)
+        if kind != "args":
+            value = builders[kind](cfg, name, section["items"], lineno)
+            _register(cfg, kind, name, value, lineno)
+    args = [item for section in sections if section["kind"] == "args"
+            for item in section["items"]]
+    for key, [(value, ln)] in _unique_items(args, "args", ARG_KEYS).items():
+        cfg.args[key] = value.strip()
+        cfg.arg_lines[key] = ln
     return cfg

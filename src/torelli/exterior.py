@@ -488,10 +488,9 @@ def primitive_rank_two_ways(space: SymplecticSpace) -> tuple[int, int]:
     pairwise-isotropic triples built from basis vectors and two-term
     sums of them.  Neither computation assumes the other's answer.
     """
-    projector_rows = [project_primitive(Multivector.basis(space, t)).terms
-                      for t in space.basis_tuples(3)]
+    projector_rank = len(primitive_basis(space))
     isotropic_rows = [w.terms for w in isotropic_spanning_wedges(space)]
-    return rank_of_rows(projector_rows), rank_of_rows(isotropic_rows)
+    return projector_rank, rank_of_rows(isotropic_rows)
 
 
 def isotropic_spanning_wedges(space: SymplecticSpace) -> list[Multivector]:

@@ -77,7 +77,14 @@ def render_canonical(x) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """`p`, `p/q` or a decimal such as `0.5`; exponent notation is refused.
+
+    Without an exponent the numerator and denominator have no more digits
+    than the text, so the work is bounded by the text's length.
+    """
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
@@ -107,10 +114,9 @@ def _parse_term(piece: str) -> tuple[Fraction, str]:
         return Fraction(1), tokens[0]
     if len(tokens) == 2:
         try:
-            mag = Fraction(tokens[0])
-        except (ValueError, ZeroDivisionError) as exc:
+            return parse_rational(tokens[0]), tokens[1]
+        except ParseError as exc:
             raise ParseError(f"bad coefficient {tokens[0]!r}") from exc
-        return mag, tokens[1]
     raise ParseError(f"malformed term {piece!r}")
 
 

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
 import pytest
 
-from torelli import SymplecticSpace, intersection, is_primitive
+from torelli import SymplecticSpace, checks, forms, intersection, is_primitive
 from torelli.checks import (random_bounding_pair, random_multivector,
                             random_primitive, random_primitive_integral_vector,
                             random_sym2, random_transvection, random_vector,
                             respecify, run_invariant_checks)
+from torelli.exterior import Multivector
+from torelli.h3model import GradedH3Element
 from torelli.render import render_vector
 
 EXPECTED_CHECKS = (
@@ -151,3 +154,116 @@ class TestSamplers:
         assert same.side1.d == b.side1.d
         swapped = respecify(b, rng, swap=True)
         assert swapped.side1.d == b.side2.d
+
+
+@pytest.fixture
+def rngs(monkeypatch):
+    """Every random.Random the suite makes, in order of construction."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(checks.random, "Random", Recording)
+    return made
+
+
+def failing(verdicts):
+    return {v.name for v in verdicts if not v.passed}
+
+
+class TestHarness:
+    """Every round draws and is tested, whatever earlier rounds gave."""
+
+    @pytest.mark.parametrize("genus, seed, rounds, after", [
+        (2, 1, 4, 0.8005406991407494),
+        (3, 0, 10, 0.9608456459247321),
+        (3, 7, 6, 0.8846853204646358),
+        (4, 3, 10, 0.4451268903186446),
+        (5, 11, 10, 0.5128674619514554),
+    ])
+    def test_golden_draw_stream(self, rngs, genus, seed, rounds, after):
+        """Pinned: any change in what the suite draws, or in what order, moves these."""
+        assert not failing(run_invariant_checks(genus, seed, rounds))
+        [rng] = rngs
+        assert rng.random() == after
+
+    def test_failure_does_not_shift_later_draws(self, rngs, monkeypatch):
+        """A failing round still draws the rest, so later checks see the same samples."""
+        calls = itertools.count()
+        real = checks.johnson_bp
+
+        def flaky(b):
+            j = real(b)
+            return j if next(calls) % 3 == 0 else -j
+
+        monkeypatch.setattr(checks, "johnson_bp", flaky)
+        assert failing(run_invariant_checks(3, 0, 10)) == {"johnson-respec-invariant"}
+        assert rngs[0].random() == 0.9608456459247321
+
+    @pytest.mark.parametrize("result", [(False,), None])
+    def test_identity_must_return_true_itself(self, monkeypatch, result):
+        """A truthy tuple or a None from an identity is a failure, not a pass."""
+        monkeypatch.setattr(checks, "is_primitive", lambda x: result)
+        assert failing(run_invariant_checks(3, 0, 2)) == {"johnson-cross-side-identity"}
+
+
+def plant_wedge(monkeypatch):
+    """A sign error whenever the right factor is a 2-form."""
+    real = checks.wedge
+
+    def wedge(x, *rest):
+        out = real(x, *rest)
+        right = rest[-1]
+        return -out if isinstance(right, Multivector) and right.degree == 2 else out
+    monkeypatch.setattr(checks, "wedge", wedge)
+
+
+def plant_forms(monkeypatch):
+    """omega3 is off by one."""
+    real = checks.omega3
+    monkeypatch.setattr(checks, "omega3", lambda s, t: real(s, t) + 1)
+
+
+def plant_transvection(monkeypatch):
+    """Transvection.apply_vector ignores `inverse`."""
+    real = forms.Transvection.apply_vector
+    monkeypatch.setattr(forms.Transvection, "apply_vector",
+                        lambda self, v, inverse=False: real(self, v))
+
+
+def plant_johnson(monkeypatch):
+    """The Johnson element of a side comes out doubled."""
+    real = checks.johnson_element
+    monkeypatch.setattr(checks, "johnson_element", lambda s: 2 * real(s))
+
+
+def plant_action(monkeypatch):
+    """act moves the top class by the actor."""
+    real = checks.act
+
+    def act(t, m, params):
+        out = real(t, m, params)
+        return GradedH3Element(out.scalar, out.sym2, out.top + t)
+    monkeypatch.setattr(checks, "act", act)
+
+
+class TestPlantedFaults:
+    """Each planted fault fails exactly the verdicts that test its identity."""
+
+    @pytest.mark.parametrize("plant, expected", [
+        (plant_wedge, {"wedge-associative", "wedge-graded-commutation"}),
+        (plant_forms, {"omega3-antisymmetric", "omega3-splitting-orthogonal"}),
+        (plant_transvection, {"bounding-pair-trivial-on-homology",
+                              "transvection-symplectic"}),
+        (plant_johnson, {"johnson-contraction-genus-multiple"}),
+        (plant_action, {"action-unipotent"}),
+    ], ids=["wedge", "forms", "transvection", "johnson", "action"])
+    def test_fault_flips_only_its_own_verdicts(self, rngs, monkeypatch, plant, expected):
+        assert not failing(run_invariant_checks(3, 0, 4))
+        clean_next = rngs[0].random()
+        plant(monkeypatch)
+        assert failing(run_invariant_checks(3, 0, 4)) == expected
+        assert rngs[1].random() == clean_next

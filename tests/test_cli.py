@@ -86,6 +86,7 @@ class TestExitCodes:
             ("act", "--fixture", "paper-figure-1", "--kappa1", "x"),
             ("act", "--config", str(tmp_path)),
             ("act", "--config", str(not_utf8)),
+            ("act", "--fixture", "paper-figure-1", "--kappa1", "1e5"),
             ("act", "--config", str(kappa2_zero)),
         ]
         for argv in cases:
@@ -99,9 +100,21 @@ class TestExitCodes:
                       {"fixture": "paper-figure-1", "genus": 4},
                       {"fixture": "paper-figure-1", "kappa2": "0"},
                       {"fixture": "paper-figure-1", "kappa1": "1/0"},
-                      {"fixture": "paper-figure-1", "kappa1": "x"}):
+                      {"fixture": "paper-figure-1", "kappa1": "x"},
+                      {"fixture": "paper-figure-1", "kappa1": "1e5"}):
             with pytest.raises(ConfigError):
                 build_config("act", **flags)
+
+    @pytest.mark.parametrize("text, message", [
+        ("genus = 3\n[args]\nround = 1\n", "line 3: unknown key 'round' in args section"),
+        ("genus = 3\n[args]\nrounds = 2\nrounds = 3\n", "line 4: duplicate key 'rounds'"),
+        ("genus = 3\nkappa1 = 1e5\n", "line 2: kappa1 must be a rational, got '1e5'"),
+    ], ids=["unknown-args-key", "duplicate-args-key", "exponent-rational"])
+    def test_config_line_errors_are_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "job.cfg"
+        path.write_text(text)
+        code, out, err = run(capsys, "invariants", "--config", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_program_bug_exits_three(self, capsys, monkeypatch):
         """An exception that is not a ConfigError is a bug, not bad input."""

@@ -256,6 +256,49 @@ class TestHeaders:
         assert cfg.kappa1 == Fraction(2, 3)
 
 
+class TestArgsSection:
+    """[args] keys are checked like the keys of every other section."""
+
+    def test_unknown_key_names_its_line(self):
+        with pytest.raises(ConfigError,
+                           match=r"^line 3: unknown key 'round' in args section$"):
+            parse_config("genus = 3\n[args]\nround = 1\n")
+
+    def test_duplicate_key_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"^line 4: duplicate key 'rounds'$"):
+            parse_config("genus = 3\n[args]\nrounds = 2\nrounds = 3\n")
+
+    def test_duplicate_across_args_sections(self):
+        with pytest.raises(ConfigError, match=r"^line 5: duplicate key 'top'$"):
+            parse_config("genus = 3\n[args]\ntop = x\n[args]\ntop = y\n")
+
+    def test_every_known_key_is_accepted(self):
+        keys = ("input", "form", "left", "right", "pair", "subsurface", "top", "rounds")
+        cfg = parse_config("genus = 3\n[args]\n" + "".join(f"{k} = v\n" for k in keys))
+        assert cfg.args == dict.fromkeys(keys, "v")
+        assert cfg.arg_lines == {k: n for n, k in enumerate(keys, start=3)}
+
+
+class TestRationals:
+    """Rationals come only from `p`, `p/q` or decimals; exponents are refused."""
+
+    def test_exponent_notation_refused(self):
+        with pytest.raises(ConfigError, match=r"^line 2: kappa1 must be a rational, got '1e5'$"):
+            parse_config("genus = 3\nkappa1 = 1e5\n")
+        with pytest.raises(ConfigError,
+                           match=r"^line 3: coefficient must be a rational, got '2E-3'$"):
+            parse_config("genus = 2\n[vector u]\ncoeffs = 1 2E-3 0 0\n")
+        with pytest.raises(ConfigError, match=r"^line 3: bad coefficient '1e5'$"):
+            parse_config("genus = 3\n[multivector m]\nexpr = 1e5 a1^a2^a3\n")
+
+    def test_decimals_and_fractions_still_parse(self):
+        cfg = parse_config("genus = 2\nkappa1 = 0.5\nkappa2 = -3/4\n"
+                           "[vector u]\ncoeffs = 0.25 7 0 0\n[vector w]\nexpr = 1.5 a1\n")
+        assert (cfg.kappa1, cfg.kappa2) == (Fraction(1, 2), Fraction(-3, 4))
+        assert cfg.vectors["u"].coords == (Fraction(1, 4), Fraction(7), 0, 0)
+        assert cfg.vectors["w"] == Fraction(3, 2) * cfg.space.a(1)
+
+
 # A token grammar for config text: mostly well-formed sections, so that
 # draws reach the section builders, with bad lines mixed in everywhere.
 # Genus stays at 1-4 so that no draw builds a large space.

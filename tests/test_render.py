@@ -72,6 +72,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_rational("x")
 
+    def test_rational_refuses_exponent_notation(self):
+        for text in ("1e5", "2E-3", "1.5e2"):
+            with pytest.raises(ParseError, match="not a rational"):
+                parse_rational(text)
+        with pytest.raises(ParseError, match="bad coefficient '1e5'"):
+            parse_multivector(SymplecticSpace(3), "1e5 a1^a2^a3")
+        assert parse_rational("0.5") == Fraction(1, 2)
+        assert parse_rational("-12") == Fraction(-12)
+
     def test_multivector_basics(self):
         sp = SymplecticSpace(3)
         x = parse_multivector(sp, "1/2 a1^a2^b2 - 1/2 a1^a3^b3")
