@@ -16,7 +16,7 @@ from .exterior import (Multivector, SymplecticSpace, Vector, contraction3,
                        delta, intersection, is_primitive, primitive_basis,
                        project_primitive, split_primitive, sym_product,
                        wedge)
-from .forms import Transvection, omega3, phi, q2
+from .forms import Transvection, omega3, omega3_gram_rows, phi, q2
 from .h3model import (GradedH3Element, TorelliParams, act, dimension_audit,
                       lift_tube, variation)
 from .johnson import (BoundingPairSpec, SubsurfaceSpec,
@@ -206,8 +206,7 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
                                      and q2(t.apply(x1), t.apply(x2)) == q2(x1, x2)))
 
     basis = primitive_basis(space)
-    gram = [[omega3(x, y) for y in basis] for x in basis]
-    rank = rank_of_rows(gram)
+    rank = rank_of_rows(omega3_gram_rows(basis))
     out.append(Verdict("omega3-primitive-gram-rank", rank == expected == len(basis),
                        f"rank {rank} on a {len(basis)}-element primitive basis"))
 

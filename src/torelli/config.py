@@ -217,7 +217,7 @@ def _build_multivector(cfg, name, items, lineno, kind="multivector"):
     value, ln = keys["expr"][0]
     try:
         return parse_multivector(space, value, degree=degree)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         raise ConfigError(str(exc), ln) from None
 
 

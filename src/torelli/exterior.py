@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
 from .linalg import independent_row_indices, rank_of_rows
 
@@ -294,7 +295,8 @@ def _add_into(out: dict, items) -> dict:
     """Add (key, coefficient) pairs with normalized keys into out, in place.
 
     A coefficient that cancels drops its key, so a dict in normal form
-    stays in normal form.  This is the one merge loop of the sparse classes.
+    stays in normal form.  This is the one Fraction merge loop of the sparse
+    classes; wedge sums Python ints over a common denominator instead.
     """
     for key, c in items:
         old = out.get(key)
@@ -406,7 +408,12 @@ def _as_multivector(x) -> Multivector:
 
 
 def wedge(x, y, *more) -> Multivector:
-    """Wedge product; accepts Vector or Multivector factors, total degree <= 3."""
+    """Wedge product; accepts Vector or Multivector factors, total degree <= 3.
+
+    Each factor is scaled to integers over the common denominator of its
+    coefficients, products are summed as Python ints, and one Fraction is
+    built per nonzero output key.
+    """
     if more:
         out = wedge(x, y)
         for z in more:
@@ -417,18 +424,65 @@ def wedge(x, y, *more) -> Multivector:
     degree = x.degree + y.degree
     if degree > 3:
         raise ValueError(f"degree overflow: {x.degree} + {y.degree} > 3")
-    return _multivector(x.space, degree, _add_into({}, _wedge_terms(x.terms, y.terms)))
-
-
-def _wedge_terms(xs: dict, ys: dict):
-    """Products of two normal-form term dicts, with sorted keys and merge signs."""
-    for s, c in xs.items():
-        for t, d in ys.items():
-            if not set(s).isdisjoint(t):
+    dx, nx = _over_common_denominator(x.terms.values())
+    dy, ny = _over_common_denominator(y.terms.values())
+    ys = list(zip(y.terms, ny))
+    acc: dict = {}
+    for s, c in zip(x.terms, nx):
+        for t, d in ys:
+            merged = _merge(s, t)
+            if merged is None:
                 continue
-            # both factors sorted, so the merge sign counts crossings only
-            crossings = sum(1 for p in s for q in t if p > q)
-            yield tuple(sorted(s + t)), (-c * d if crossings % 2 else c * d)
+            key, sign = merged
+            acc[key] = acc.get(key, 0) + (c * d if sign > 0 else -c * d)
+    den = dx * dy
+    if den == 1:
+        return _multivector(x.space, degree, {k: Fraction(n) for k, n in acc.items() if n})
+    return _multivector(x.space, degree, {k: Fraction(n, den) for k, n in acc.items() if n})
+
+
+def _over_common_denominator(coeffs) -> tuple[int, list[int]]:
+    """(D, [n, ...]) with each Fraction of the collection equal to n / D.
+
+    D is the least common multiple of the denominators, so integral
+    coefficients give D = 1 and their numerators unchanged.
+    """
+    den = 1
+    for c in coeffs:
+        q = c.denominator
+        if den % q:
+            den = den // gcd(den, q) * q
+    if den == 1:
+        return 1, [c.numerator for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _merge(s: tuple[int, ...], t: tuple[int, ...]):
+    """The sorted key of s + t and its sort sign, or None when s and t meet.
+
+    Both keys are sorted and the total degree is at most 3, so the only
+    shapes are 1 x 1, 1 x 2 and 2 x 1; the sign counts the crossings.
+    """
+    if len(t) == 1:
+        q = t[0]
+        if len(s) == 1:
+            p = s[0]
+            if p < q:
+                return (p, q), 1
+            return ((q, p), -1) if p > q else None
+        p, r = s
+        if r < q:
+            return (p, r, q), 1
+        if p < q < r:
+            return (p, q, r), -1
+        return ((q, p, r), 1) if q < p else None
+    p = s[0]
+    q, r = t
+    if p < q:
+        return (p, q, r), 1
+    if q < p < r:
+        return (q, p, r), -1
+    return ((q, r, p), 1) if r < p else None
 
 
 def contraction3(x: Multivector) -> Vector:

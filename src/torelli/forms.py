@@ -82,6 +82,30 @@ def _pair_dual_keys(x: Multivector, y: Multivector) -> Fraction:
     return total
 
 
+def omega3_gram_rows(basis: list[Multivector]) -> list[dict[int, Fraction]]:
+    """The Gram matrix omega3(x_i, x_j) of a list of 3-forms, as sparse rows {j: entry}.
+
+    The list is indexed once by key, {key: [(j, coefficient)]}; row i then
+    costs one lookup per term of x_i, at the dual key of that term.
+    """
+    for x in basis:
+        _check_degree(x, 3, "omega3")
+        _same_space(basis[0], x, Multivector)
+    index: dict[tuple[int, ...], list] = {}
+    for j, y in enumerate(basis):
+        for key, d in y.terms.items():
+            index.setdefault(key, []).append((j, d))
+    rows = []
+    for x in basis:
+        row: dict[int, Fraction] = {}
+        for key, c in x.terms.items():
+            sign, dual = _dual_key(x.space, key)
+            matches = index.get(dual, ())
+            _add_into(row, ((j, c * d if sign > 0 else -c * d) for j, d in matches))
+        rows.append(row)
+    return rows
+
+
 def phi(s: Multivector, t: Multivector) -> Sym2Element:
     """Pairing of two 3-forms into the symmetric square.
 

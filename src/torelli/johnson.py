@@ -13,9 +13,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .exterior import (Multivector, SymplecticSpace, Vector, delta,
-                       intersection, project_primitive, wedge)
+from .exterior import (Multivector, SymplecticSpace, Vector,
+                       _over_common_denominator, delta, project_primitive,
+                       wedge)
 from .forms import Transvection
 from .linalg import mat_mul
 
@@ -52,25 +54,34 @@ class SubsurfaceSpec:
         if d.is_zero():
             raise InvalidSubsurface("boundary class d must be nonzero")
         pairs = tuple((e, f) for e, f in pairs)
+        g = d.space.genus
+
+        def scaled(v):
+            # (D, ints, J ints): x . y is (ints_x . J ints_y) / (D_x D_y)
+            den, ints = _over_common_denominator(v.coords)
+            return den, ints, ints[g:] + [-n for n in ints[:g]]
+
+        def pairing(x, y):
+            return sum(map(mul, x[1], y[2])), x[0] * y[0]
+
         vecs = []
         for n, (e, f) in enumerate(pairs, start=1):
             for v, name in ((e, f"e{n}"), (f, f"f{n}")):
                 if not isinstance(v, Vector) or v.space != d.space:
                     raise InvalidSubsurface(f"{name} must be a Vector in the same space as d")
-                vecs.append((name, v))
-        for n, (e, f) in enumerate(pairs, start=1):
-            val = intersection(d, e)
+                vecs.append((name, scaled(v)))
+        sd = scaled(d)
+        for name, y in vecs:
+            val, den = pairing(sd, y)
             if val:
-                raise InvalidSubsurface(f"d . e{n} = {val}, expected 0")
-            val = intersection(d, f)
-            if val:
-                raise InvalidSubsurface(f"d . f{n} = {val}, expected 0")
+                raise InvalidSubsurface(f"d . {name} = {Fraction(val, den)}, expected 0")
         for i, (namex, x) in enumerate(vecs):
             for namey, y in vecs[i + 1:]:
                 want = 1 if (namex[0], namey[0]) == ("e", "f") and namex[1:] == namey[1:] else 0
-                val = intersection(x, y)
-                if val != want:
-                    raise InvalidSubsurface(f"{namex} . {namey} = {val}, expected {want}")
+                val, den = pairing(x, y)
+                if val != want * den:
+                    raise InvalidSubsurface(
+                        f"{namex} . {namey} = {Fraction(val, den)}, expected {want}")
         self.space = d.space
         self.d = d
         self.pairs = pairs

@@ -127,7 +127,7 @@ def parse_multivector(space: SymplecticSpace, text: str,
     if text == "0":
         if degree is None:
             raise ParseError("cannot infer the degree of a bare 0")
-        return Multivector.zero(space, degree)
+        return Multivector.zero(space, _wedge_degree(degree))
     terms: dict[tuple[int, ...], Fraction] = {}
     for sign, piece in _split_terms(text):
         mag, monomial = _parse_term(piece)
@@ -141,7 +141,13 @@ def parse_multivector(space: SymplecticSpace, text: str,
         if len(key) != degree:
             raise ParseError(f"mixed degrees: term {monomial!r} is not degree {degree}")
         terms[key] = terms.get(key, Fraction(0)) + sign * mag
-    return Multivector(space, degree, terms)
+    return Multivector(space, _wedge_degree(degree), terms)
+
+
+def _wedge_degree(degree: int) -> int:
+    if degree not in (1, 2, 3):
+        raise ParseError(f"degree must be 1, 2 or 3, got {degree}")
+    return degree
 
 
 def parse_vector(space: SymplecticSpace, text: str) -> Vector:

@@ -109,7 +109,12 @@ class TestExitCodes:
         ("genus = 3\n[args]\nround = 1\n", "line 3: unknown key 'round' in args section"),
         ("genus = 3\n[args]\nrounds = 2\nrounds = 3\n", "line 4: duplicate key 'rounds'"),
         ("genus = 3\nkappa1 = 1e5\n", "line 2: kappa1 must be a rational, got '1e5'"),
-    ], ids=["unknown-args-key", "duplicate-args-key", "exponent-rational"])
+        ("genus = 3\n[multivector m]\nexpr = a1^b1^a2^b2\n",
+         "line 3: degree must be 1, 2 or 3, got 4"),
+        ("genus = 3\n[multivector m]\ndegree = 4\nexpr = 0\n",
+         "line 4: degree must be 1, 2 or 3, got 4"),
+    ], ids=["unknown-args-key", "duplicate-args-key", "exponent-rational",
+            "expr-degree-four", "zero-expr-degree-four"])
     def test_config_line_errors_are_two(self, capsys, tmp_path, text, message):
         path = tmp_path / "job.cfg"
         path.write_text(text)

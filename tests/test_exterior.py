@@ -222,6 +222,77 @@ class TestWedge:
             wedge(wedge(sp.a(1), sp.b(1), sp.a(2)), sp.b(2))
 
 
+class TestWedgeOracleHigherGenus:
+    """The integer wedge kernel against coordinate determinants at genus 4-6."""
+
+    def assert_stored_exactly(self, x):
+        assert all(type(c) is Fraction and c for c in x.terms.values())
+
+    def test_pq_vector_triples(self):
+        for g in (4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(80 + g)
+            for _ in range(6):
+                u, v, w = (rand_vector(sp, rng) for _ in range(3))
+                for got, want in ((wedge(u, v), oracle_vector_wedge(u, v)),
+                                  (wedge(u, v, w), oracle_vector_wedge(u, v, w))):
+                    assert got == want
+                    self.assert_stored_exactly(got)
+
+    def test_cancelling_terms(self):
+        """v is a p/q multiple of u off a few slots, and w = u - v plus one slot,
+        so most minors cancel exactly across different denominators."""
+        for g in (4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(90 + g)
+            for _ in range(6):
+                u = rand_vector(sp, rng)
+                ratio = Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(2, 7))
+                coords = [ratio * c for c in u.coords]
+                for i in rng.sample(range(sp.dim), 2):
+                    coords[i] += Fraction(rng.randint(1, 4), rng.randint(1, 5))
+                v = Vector(sp, coords)
+                w = u - v + Fraction(1, 3) * sp.basis_vector(rng.randrange(sp.dim))
+                uv, uvw = wedge(u, v), wedge(u, v, w)
+                assert uv == oracle_vector_wedge(u, v)
+                assert uvw == oracle_vector_wedge(u, v, w)
+                assert len(uv.terms) < comb(sp.dim, 2)
+                self.assert_stored_exactly(uv)
+                self.assert_stored_exactly(uvw)
+                assert wedge(u, ratio * u).is_zero()
+                assert wedge(u, v, u + v).is_zero()
+
+    def test_one_form_with_two_form_both_orders(self):
+        """Bilinearity: u ^ sum c_k (v_k ^ w_k) = sum c_k u ^ v_k ^ w_k, either order."""
+        for g in (4, 5, 6):
+            sp = SymplecticSpace(g)
+            rng = random.Random(100 + g)
+            for _ in range(4):
+                u = rand_vector(sp, rng)
+                pieces = [(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                           rand_vector(sp, rng), rand_vector(sp, rng)) for _ in range(3)]
+                two = Multivector.zero(sp, 2)
+                left = right = Multivector.zero(sp, 3)
+                for c, v, w in pieces:
+                    two = two + c * oracle_vector_wedge(v, w)
+                    left = left + c * oracle_vector_wedge(u, v, w)
+                    right = right + c * oracle_vector_wedge(v, w, u)
+                for got, want in ((wedge(u, two), left), (wedge(two, u), right),
+                                  (wedge(u.to_multivector(), two), left)):
+                    assert got == want
+                    self.assert_stored_exactly(got)
+
+    def test_integral_results_and_basis_wedges_store_fractions(self):
+        sp = SymplecticSpace(4)
+        half = Fraction(1, 2) * sp.a(1) + sp.b(2)
+        for x in (wedge(sp.a(1), sp.b(1)), wedge(sp.b(3), sp.a(2), sp.a(4)),
+                  wedge(half, 2 * sp.a(3)), wedge(2 * sp.a(2), half, sp.b(4)),
+                  wedge(delta(sp), sp.a(1)), wedge(sp.a(1), delta(sp))):
+            assert x.terms
+            self.assert_stored_exactly(x)
+        assert wedge(half, 2 * sp.a(3)).terms == {(0, 2): Fraction(1), (2, 5): Fraction(-2)}
+
+
 class TestDelta:
     def test_expansion(self):
         sp = SymplecticSpace(2)

@@ -14,6 +14,7 @@ from test_exterior import rand_mv, rand_vector
 from torelli import (Multivector, SymplecticSpace, Transvection, delta,
                      intersection, omega3, phi, primitive_basis,
                      project_primitive, q2, sym_product, wedge)
+from torelli.forms import omega3_gram_rows
 from torelli.linalg import is_identity, mat_mul, rank_of_rows
 
 
@@ -151,6 +152,42 @@ class TestOmega3:
         basis = primitive_basis(sp)
         gram = [[omega3(x, y) for y in basis] for x in basis]
         assert rank_of_rows(gram) == 14
+
+
+class TestOmega3GramRows:
+    def check_rows(self, forms):
+        rows = omega3_gram_rows(forms)
+        assert len(rows) == len(forms)
+        for row, x in zip(rows, forms):
+            assert all(type(c) is Fraction and c for c in row.values())
+            for j, y in enumerate(forms):
+                entry = row.get(j, Fraction(0))
+                assert entry == omega3(x, y) == oracle_omega3(x, y)
+        return rows
+
+    def test_primitive_basis_entry_by_entry(self):
+        for g in (3, 4):
+            basis = primitive_basis(SymplecticSpace(g))
+            rows = self.check_rows(basis)
+            assert rank_of_rows(rows) == len(basis)
+
+    def test_random_forms_with_repeated_keys(self):
+        """p/q forms on few handles share keys, so the index holds several j per key."""
+        for g in (3, 4):
+            sp = SymplecticSpace(g)
+            rng = random.Random(70 + g)
+            forms = [handle_form(sp, 3, rng, [0, 1, 2], 8) for _ in range(6)]
+            forms += [rand_mv(sp, 3, rng, nterms=6), Multivector.zero(sp, 3)]
+            rows = self.check_rows(forms)
+            assert sum(len(row) for row in rows) >= 10
+
+    def test_empty_and_degree_guard(self):
+        assert omega3_gram_rows([]) == []
+        sp = SymplecticSpace(3)
+        with pytest.raises(ValueError, match="degree-3"):
+            omega3_gram_rows([delta(sp)])
+        with pytest.raises(ValueError, match="space mismatch"):
+            omega3_gram_rows(primitive_basis(sp)[:1] + primitive_basis(SymplecticSpace(4))[:1])
 
 
 class TestPhi:

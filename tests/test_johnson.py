@@ -62,6 +62,31 @@ class TestSubsurfaceSpec:
         with pytest.raises(InvalidSubsurface, match="= 1/2, expected 1"):
             SubsurfaceSpec(sp.a(1), [(sp.a(2), Fraction(1, 2) * sp.b(2))])
 
+    def test_non_integral_messages_and_check_order(self):
+        """The first failing pairing is reported, reduced, in the order
+        d . e_n, d . f_n for every n, then pairs of vectors in listed order."""
+        sp = SymplecticSpace(3)
+        half = Fraction(1, 2)
+        # d . f2 fails before e1 . f2, which fails too
+        f2 = Fraction(-1, 3) * sp.b(1) + sp.b(3) + sp.b(2)
+        with pytest.raises(InvalidSubsurface, match=r"^d \. f2 = -1/6, expected 0$"):
+            SubsurfaceSpec(half * sp.a(1), [(sp.a(2), sp.b(2)), (sp.a(3), f2)])
+        # e1 . e2 fails before e2 . f2, which fails too
+        e1 = sp.a(2) + half * sp.b(3)
+        with pytest.raises(InvalidSubsurface, match=r"^e1 \. e2 = -3/4, expected 0$"):
+            SubsurfaceSpec(sp.a(1), [(e1, sp.b(2)), (Fraction(3, 2) * sp.a(3), sp.b(3))])
+        with pytest.raises(InvalidSubsurface, match=r"^e1 \. f1 = 2/3, expected 1$"):
+            SubsurfaceSpec(sp.a(1), [(Fraction(4, 3) * sp.a(2), half * sp.b(2))])
+        with pytest.raises(InvalidSubsurface, match=r"^e1 \. f1 = 2, expected 1$"):
+            SubsurfaceSpec(sp.a(1), [(Fraction(4, 3) * sp.a(2), Fraction(3, 2) * sp.b(2))])
+
+    def test_non_integral_vectors_accepted(self):
+        sp = SymplecticSpace(3)
+        s = SubsurfaceSpec(Fraction(2, 5) * sp.a(1),
+                           [(Fraction(3, 2) * sp.a(2) + Fraction(1, 7) * sp.a(1),
+                             Fraction(2, 3) * sp.b(2))])
+        assert s.genus == 1
+
 
 class TestBoundingPairSpec:
     def test_boundaries_must_cancel(self):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_exterior import rand_mv, rand_vector
 from test_h3model import rand_sym2
@@ -99,6 +101,12 @@ class TestParse:
             parse_multivector(sp, "0")
         assert parse_vector(sp, "0").is_zero()
 
+    def test_degree_four_is_a_parse_error(self):
+        sp = SymplecticSpace(3)
+        for text, degree in (("a1^b1^a2^b2", None), ("a1^b1^a2^b2", 4), ("0", 4)):
+            with pytest.raises(ParseError, match=r"^degree must be 1, 2 or 3, got 4$"):
+                parse_multivector(sp, text, degree)
+
     def test_degree_conflicts_rejected(self):
         sp = SymplecticSpace(3)
         with pytest.raises(ParseError, match="mixed degrees"):
@@ -165,3 +173,28 @@ class TestRoundTrip:
         for _ in range(50):
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             assert parse_rational(render_rational(x)) == x
+
+
+# Element text from a token grammar: labels in and out of range at genus 3,
+# wedge and symmetric separators, signs, rationals good and bad, blanks.
+TOKENS = st.sampled_from([
+    "a1", "b2", "a3", "b3", "a4", "b9", "c1", "a0", "a01",
+    "^", ".", "·", "*", "+", "-", " + ", " - ", " ",
+    "1/2", "-3/4", "2", "1/0", "1e5", "0", "0.5", ""])
+ELEMENT_TEXT = st.lists(TOKENS, max_size=8).map("".join)
+
+
+class TestFuzz:
+    @given(ELEMENT_TEXT)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_parsers_return_or_raise_parse_error(self, text):
+        """Every parser either returns or raises ParseError, never another error."""
+        sp = SymplecticSpace(3)
+        parsers = [parse_rational, lambda t: parse_vector(sp, t),
+                   lambda t: parse_multivector(sp, t), lambda t: parse_sym2(sp, t)]
+        parsers += [lambda t, k=k: parse_multivector(sp, t, k) for k in (0, 1, 2, 3, 4)]
+        for parse in parsers:
+            try:
+                parse(text)
+            except ParseError:
+                pass
