@@ -89,6 +89,9 @@ class SymplecticSpace:
         return sign if j == k else 0
 
     def basis_vector(self, i: int) -> Vector:
+        _check_index_type(i)
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} out of range for dimension {self.dim}")
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
         return _vector(self, tuple(coords))
@@ -337,6 +340,7 @@ def _normal_wedge_terms(space: SymplecticSpace, degree: int, terms):
         if len(indices) != degree:
             raise ValueError(f"term {indices} has wrong arity for degree {degree}")
         for i in indices:
+            _check_index_type(i)
             if not 0 <= i < space.dim:
                 raise ValueError(f"basis index {i} out of range for dimension {space.dim}")
         if len(set(indices)) < degree:
@@ -349,9 +353,17 @@ def _normal_sym2_terms(space: SymplecticSpace, terms):
     """Validate outside terms and yield them with keys (i, j), i <= j."""
     for key, coeff in terms.items():
         i, j = key
+        _check_index_type(i)
+        _check_index_type(j)
         if not (0 <= i < space.dim and 0 <= j < space.dim):
             raise ValueError(f"basis index pair {key} out of range")
         yield ((i, j) if i <= j else (j, i)), as_rational(coeff)
+
+
+def _check_index_type(i) -> None:
+    """Refuse a basis index that is not an int, as SymplecticSpace refuses a genus."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError(f"basis index must be an int, got {i!r}")
 
 
 def _same_space(x, y, cls):

@@ -10,6 +10,15 @@ SymplecticSpace.dual), so no kernel scans pairs of terms.  omega3 and q2
 cost one dict lookup per term of the left form: its key's dual.  phi
 indexes the right form once by ordered slot pair and then costs
 3·|s| lookups, one per cyclic slot pair of each term of the left form.
+
+The transvection T(v) = v + (v . c) c acts in closed form, with no basis
+images.  On a k-form, T(x) = x + c ^ i_c(x), where i_c is the derivation
+with i_c(v) = v . c; the inverse is x - c ^ i_c(x).  On Sym^2, with
+p_i = e_i . c, T(x) = x + c.w + s c^2 for the vector
+w = sum a (p_i e_j + p_j e_i) and the scalar s = sum a p_i p_j over the
+terms a e_i e_j of x; the inverse is x - c.w + s c^2.  So one apply costs
+one contraction pass and one wedge, or one pass and two symmetric
+products.
 """
 
 from __future__ import annotations
@@ -149,10 +158,22 @@ def _phi_terms(s: Multivector, t: Multivector):
 
 
 class Transvection:
-    """The symplectic transvection x -> x + (x . c) c along a direction c.
+    """The symplectic transvection T(v) = v + (v . c) c along a direction c.
 
     Unipotent, preserves the pairing, and is the homological shadow of a
-    twist along a simple closed curve in the class c.
+    twist along a simple closed curve in the class c.  The inverse is
+    v -> v - (v . c) c.  Write p_i = e_i . c.
+
+    - On a k-form, T(x) = x + c ^ i_c(x), where i_c is the derivation
+      with i_c(v) = v . c, so that on a basis term it drops slot n and
+      multiplies by (-1)^n p_i, i the index in that slot.  Expanding
+      T(v_0) ^ ... ^ T(v_{k-1}), every term with c twice vanishes.  The
+      inverse is x - c ^ i_c(x).
+    - On Sym^2, T(x) = x + c.w + s c^2, where x = sum a e_i e_j gives
+      w = sum a (p_i e_j + p_j e_i) and s = sum a p_i p_j.  The inverse
+      flips the sign of the middle term only.
+
+    Both inverses are the forward formulas with every p_i negated.
     """
 
     __slots__ = ("space", "direction")
@@ -177,35 +198,33 @@ class Transvection:
         return _vector(self.space, tuple(x + s * d for x, d in
                                          zip(v.coords, self.direction.coords)))
 
-    def _basis_images(self, inverse: bool) -> list[Vector]:
-        return [self.apply_vector(self.space.basis_vector(i), inverse)
-                for i in range(self.space.dim)]
-
     def apply(self, x, inverse: bool = False):
         """Functorial action on Vector, Multivector or Sym2Element inputs."""
         if isinstance(x, Vector):
             return self.apply_vector(x, inverse)
+        if not isinstance(x, (Multivector, Sym2Element)):
+            raise TypeError(f"cannot apply a transvection to {type(x).__name__}")
+        _same_space(x, self.direction, Vector)
+        if isinstance(x, Multivector) and x.degree == 1:
+            return self.apply_vector(x.to_vector(), inverse).to_multivector()
+        c, sign = self.direction, -1 if inverse else 1
+        p = [sign * e * c.coords[j] for j, e in map(self.space.dual, range(self.space.dim))]
         if isinstance(x, Multivector):
-            images = [v.to_multivector() for v in self._basis_images(inverse)]
-            out: dict = {}
-            for indices, c in x.terms.items():
-                factor = images[indices[0]]
-                for i in indices[1:]:
-                    factor = wedge(factor, images[i])
-                _add_into(out, ((k, c * v) for k, v in factor.terms.items()))
-            return _multivector(x.space, x.degree, out)
-        if isinstance(x, Sym2Element):
-            vecs = self._basis_images(inverse)
-            out = {}
-            for (i, j), c in x.terms.items():
-                product = sym_product(vecs[i], vecs[j])
-                _add_into(out, ((k, c * v) for k, v in product.terms.items()))
-            return _sym2(x.space, out)
-        raise TypeError(f"cannot apply a transvection to {type(x).__name__}")
+            contracted: dict = {}
+            for key, a in x.terms.items():
+                _add_into(contracted, ((key[:n] + key[n + 1:], -a * p[i] if n % 2 else a * p[i])
+                                       for n, i in enumerate(key) if p[i]))
+            return x + wedge(c, _multivector(self.space, x.degree - 1, contracted))
+        w = [Fraction(0)] * self.space.dim
+        s = Fraction(0)
+        for (i, j), a in x.terms.items():
+            w[i] += a * p[j]
+            w[j] += a * p[i]
+            s += a * p[i] * p[j]
+        return x + sym_product(c, _vector(self.space, tuple(w))) + s * sym_product(c, c)
 
     def matrix(self, inverse: bool = False) -> list[list[Fraction]]:
         """Matrix of the action on the space; entry [i][j] is coord i of T(e_j)."""
-        cols = self._basis_images(inverse)
-        return [[cols[j].coords[i] for j in range(self.space.dim)]
-                for i in range(self.space.dim)]
-
+        cols = [self.apply_vector(self.space.basis_vector(j), inverse).coords
+                for j in range(self.space.dim)]
+        return [list(row) for row in zip(*cols)]

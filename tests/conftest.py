@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from torelli import Multivector, SymplecticSpace, Vector
+from torelli import Multivector, Sym2Element, SymplecticSpace, Vector
 
 
 def dense_pairing_matrix(space: SymplecticSpace) -> list[list[Fraction]]:
@@ -63,6 +63,41 @@ def oracle_vector_wedge(*vectors: Vector) -> Multivector:
         if det:
             terms[key] = det
     return Multivector(space, k, terms)
+
+
+def oracle_transvection(c: Vector, x, inverse: bool = False):
+    """The image of a form or Sym^2 element under v -> v + (v . c) c, term by term.
+
+    Each basis vector goes to e_i + (e_i . c) c, or e_i - (e_i . c) c for
+    the inverse, with the pairing read off the dense matrix.  A k-form
+    term is rebuilt from the images of its factors by coordinate
+    determinants, a Sym^2 term by the coordinate product.
+    """
+    space = c.space
+    j = dense_pairing_matrix(space)
+    sign = -1 if inverse else 1
+    images = []
+    for i in range(space.dim):
+        p = sign * sum((j[i][q] * c.coords[q] for q in range(space.dim)), Fraction(0))
+        images.append([Fraction(int(r == i)) + p * cr for r, cr in enumerate(c.coords)])
+    terms: dict = {}
+    for key, a in x.terms.items():
+        if isinstance(x, Sym2Element):
+            u, v = images[key[0]], images[key[1]]
+            image = {}
+            for p, up in enumerate(u):
+                for q, vq in enumerate(v):
+                    pq = (p, q) if p <= q else (q, p)
+                    image[pq] = image.get(pq, Fraction(0)) + up * vq
+        elif x.degree == 1:
+            image = {(r,): cr for r, cr in enumerate(images[key[0]])}
+        else:
+            image = oracle_vector_wedge(*(Vector(space, images[i]) for i in key)).terms
+        for k, b in image.items():
+            terms[k] = terms.get(k, Fraction(0)) + a * b
+    if isinstance(x, Sym2Element):
+        return Sym2Element(space, terms)
+    return Multivector(space, x.degree, terms)
 
 
 def oracle_omega3(s: Multivector, t: Multivector) -> Fraction:

@@ -13,7 +13,7 @@ from torelli.checks import (random_bounding_pair, random_multivector,
                             random_primitive, random_primitive_integral_vector,
                             random_sym2, random_transvection, random_vector,
                             respecify, run_invariant_checks)
-from torelli.exterior import Multivector
+from torelli.exterior import Multivector, Sym2Element, Vector
 from torelli.h3model import GradedH3Element
 from torelli.render import render_vector
 
@@ -234,6 +234,29 @@ def plant_transvection(monkeypatch):
                         lambda self, v, inverse=False: real(self, v))
 
 
+def plant_transvection_sym2(monkeypatch):
+    """Transvection.apply on Sym^2 drops its s·c^2 term."""
+    real = forms.sym_product
+    monkeypatch.setattr(forms, "sym_product",
+                        lambda u, v: Sym2Element.zero(u.space) if u is v else real(u, v))
+
+
+def plant_transvection_3form(monkeypatch):
+    """Transvection.apply on a 3-form wedges i_c(x) with the a-part of c only.
+
+    A rescaled shear x + l c ^ i_c(x) would still be a transvection, along
+    sqrt(l) c, and so still symplectic; this fault is not.
+    """
+    real = forms.wedge
+
+    def wedge(c, y):
+        if y.degree != 2:
+            return real(c, y)
+        g = c.space.genus
+        return real(Vector(c.space, c.coords[:g] + (0,) * g), y)
+    monkeypatch.setattr(forms, "wedge", wedge)
+
+
 def plant_johnson(monkeypatch):
     """The Johnson element of a side comes out doubled."""
     real = checks.johnson_element
@@ -258,9 +281,13 @@ class TestPlantedFaults:
         (plant_forms, {"omega3-antisymmetric", "omega3-splitting-orthogonal"}),
         (plant_transvection, {"bounding-pair-trivial-on-homology",
                               "transvection-symplectic"}),
+        (plant_transvection_sym2, {"phi-transvection-equivariant"}),
+        (plant_transvection_3form, {"omega3-q2-transvection-invariant",
+                                    "phi-transvection-equivariant"}),
         (plant_johnson, {"johnson-contraction-genus-multiple"}),
         (plant_action, {"action-unipotent"}),
-    ], ids=["wedge", "forms", "transvection", "johnson", "action"])
+    ], ids=["wedge", "forms", "transvection", "transvection-sym2", "transvection-3form",
+            "johnson", "action"])
     def test_fault_flips_only_its_own_verdicts(self, rngs, monkeypatch, plant, expected):
         assert not failing(run_invariant_checks(3, 0, 4))
         clean_next = rngs[0].random()

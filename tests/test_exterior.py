@@ -79,6 +79,16 @@ class TestSpace:
                 with pytest.raises(ValueError):
                     sp.dual(bad)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_basis_vector_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=f"basis index {bad} out of range for dimension 4"):
+            SymplecticSpace(2).basis_vector(bad)
+
+    @pytest.mark.parametrize("bad", [1.0, Fraction(1), "1", True])
+    def test_basis_vector_index_must_be_int(self, bad):
+        with pytest.raises(TypeError, match="basis index must be an int"):
+            SymplecticSpace(2).basis_vector(bad)
+
     def test_float_rejected(self):
         sp = SymplecticSpace(2)
         with pytest.raises(TypeError):
@@ -155,6 +165,20 @@ class TestNormalForm:
             Multivector(sp, 2, {(0, 1, 2): Fraction(1)})
         with pytest.raises(ValueError):
             Multivector(sp, 2, {(0, 9): Fraction(1)})
+
+    @pytest.mark.parametrize("key", [(1.5,), (Fraction(1),), ("1",)])
+    def test_multivector_index_must_be_int(self, key):
+        with pytest.raises(TypeError, match="basis index must be an int"):
+            Multivector(SymplecticSpace(2), 1, {key: 1})
+
+    @pytest.mark.parametrize("key", [(0.5, 2), (2, Fraction(2)), (0, "1")])
+    def test_sym2_index_must_be_int(self, key):
+        with pytest.raises(TypeError, match="basis index must be an int"):
+            Sym2Element(SymplecticSpace(2), {key: 1})
+
+    def test_sym2_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"basis index pair \(-1, 2\) out of range"):
+            Sym2Element(SymplecticSpace(2), {(-1, 2): 1})
 
     def test_vector_multivector_round_trip(self):
         sp = SymplecticSpace(3)

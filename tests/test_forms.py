@@ -9,11 +9,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (oracle_omega3, oracle_phi_decomposables,
-                      oracle_q2_vectors)
+                      oracle_q2_vectors, oracle_transvection)
 from test_exterior import rand_mv, rand_vector
-from torelli import (Multivector, SymplecticSpace, Transvection, delta,
-                     intersection, omega3, phi, primitive_basis,
+from torelli import (Multivector, Sym2Element, SymplecticSpace, Transvection,
+                     delta, intersection, omega3, phi, primitive_basis,
                      project_primitive, q2, sym_product, wedge)
+from torelli import forms
 from torelli.forms import omega3_gram_rows
 from torelli.linalg import is_identity, mat_mul, rank_of_rows
 
@@ -347,3 +348,57 @@ class TestTransvection:
         for _ in range(10):
             t = Transvection(sp.a(1) + rand_vector(sp, rng))
             assert t.apply(delta(sp)) == delta(sp)
+
+    @pytest.mark.parametrize("genus", [3, 4, 5, 6])
+    def test_apply_matches_oracle_both_directions(self, genus):
+        """Forms of degree 1-3 and Sym^2, p/q directions and coefficients."""
+        sp = SymplecticSpace(genus)
+        rng = random.Random(35 + genus)
+        for _ in range(4):
+            c = rand_vector(sp, rng) + sp.b(genus)
+            t = Transvection(c)
+            sym2 = Sym2Element(sp, {(rng.randrange(sp.dim), rng.randrange(sp.dim)):
+                                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                    for _ in range(5)})
+            for x in (rand_mv(sp, 1, rng), rand_mv(sp, 2, rng), rand_mv(sp, 3, rng), sym2):
+                image = t.apply(x)
+                assert image == oracle_transvection(c, x)
+                assert t.apply(x, inverse=True) == oracle_transvection(c, x, inverse=True)
+                assert t.apply(image, inverse=True) == x
+                assert Transvection(-c).apply(x) == image
+
+    @pytest.mark.parametrize("genus", [2, 4])
+    def test_apply_refuses_another_space(self, genus):
+        sp3 = SymplecticSpace(3)
+        t = Transvection(sp3.a(1) + sp3.b(2))
+        sp = SymplecticSpace(genus)
+        for x in (Multivector.basis(sp, (0, 1, 2)), Multivector.basis(sp, (sp.genus,)),
+                  Sym2Element(sp, {(sp.genus, sp.genus): 1})):
+            for inverse in (False, True):
+                with pytest.raises(ValueError, match=f"space mismatch: genus {genus} vs 3"):
+                    t.apply(x, inverse)
+
+    def test_apply_makes_one_wedge_or_two_sym_products(self, monkeypatch):
+        """No basis images: one wedge per form, two symmetric products per Sym^2 element."""
+        sp = SymplecticSpace(4)
+        rng = random.Random(39)
+        calls = []
+
+        def counting(name):
+            real = getattr(forms, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+        for name in ("wedge", "sym_product"):
+            monkeypatch.setattr(forms, name, counting(name))
+        t = Transvection(rand_vector(sp, rng) + sp.a(1))
+        for degree in (2, 3):
+            for inverse in (False, True):
+                calls.clear()
+                t.apply(rand_mv(sp, degree, rng, nterms=20), inverse)
+                assert calls == ["wedge"]
+        calls.clear()
+        t.apply(phi(rand_mv(sp, 3, rng), rand_mv(sp, 3, rng)), inverse=True)
+        assert calls == ["sym_product", "sym_product"]
