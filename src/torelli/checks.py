@@ -27,6 +27,9 @@ from .linalg import is_identity, rank_of_rows
 from .render import parse_multivector, parse_sym2, parse_vector, render_canonical
 from .report import Verdict
 
+# rounds per randomized verdict; the CLI reports it when a job names none
+_DEFAULT_ROUNDS = 10
+
 
 def random_vector(space: SymplecticSpace, rng: random.Random,
                   denominators: bool = False) -> Vector:
@@ -51,10 +54,11 @@ def random_primitive_integral_vector(space: SymplecticSpace,
 
 
 def random_multivector(space: SymplecticSpace, degree: int, rng: random.Random,
-                       nterms: int = 4, denominators: bool = False) -> Multivector:
+                       denominators: bool = False) -> Multivector:
+    """Up to four basis terms with coefficients in -3..3 (over 1..3 with denominators)."""
     tuples = space.basis_tuples(degree)
     terms = {}
-    for t in rng.sample(tuples, min(nterms, len(tuples))):
+    for t in rng.sample(tuples, min(4, len(tuples))):
         num = rng.randint(-3, 3)
         den = rng.randint(1, 3) if denominators else 1
         terms[t] = Fraction(num, den)
@@ -89,14 +93,13 @@ def _jitter_pairs(d: Vector, pairs, rng: random.Random):
     return [tuple(p) for p in pairs]
 
 
-def random_bounding_pair(space: SymplecticSpace, rng: random.Random,
-                         twists: int | None = None) -> BoundingPairSpec:
+def random_bounding_pair(space: SymplecticSpace, rng: random.Random) -> BoundingPairSpec:
     """A valid randomized bounding pair.
 
     Built from a canonical split of shuffled handles, respecified pair
-    by pair, then pushed through a random composite of transvections;
-    every step preserves both the validation constraints and the
-    cross-side identity.
+    by pair, then pushed through a composite of zero to four random
+    transvections; every step preserves both the validation constraints
+    and the cross-side identity.
     """
     g = space.genus
     handles = list(range(1, g + 1))
@@ -105,9 +108,7 @@ def random_bounding_pair(space: SymplecticSpace, rng: random.Random,
     d = split.side1.d
     pairs1 = _jitter_pairs(d, split.side1.pairs, rng)
     pairs2 = _jitter_pairs(d, split.side2.pairs, rng)
-    if twists is None:
-        twists = rng.randint(0, 4)
-    maps = [random_transvection(space, rng) for _ in range(twists)]
+    maps = [random_transvection(space, rng) for _ in range(rng.randint(0, 4))]
 
     def push(v: Vector) -> Vector:
         for t in maps:
@@ -129,7 +130,7 @@ def respecify(b: BoundingPairSpec, rng: random.Random,
 
 
 def run_invariant_checks(genus: int = 3, seed: int = 0,
-                         rounds: int = 10) -> list[Verdict]:
+                         rounds: int = _DEFAULT_ROUNDS) -> list[Verdict]:
     """Run every identity check at the given genus; deterministic in (genus, seed).
 
     Each randomized verdict is one `holds(sample, identity)`: every round

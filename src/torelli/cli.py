@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import run_invariant_checks
+from .checks import _DEFAULT_ROUNDS, run_invariant_checks
 from .config import (ConfigError, JobConfig, config_from_fixture, parse_config,
                      set_top_level)
 from .exterior import (Multivector, contraction3, is_primitive, project_primitive,
@@ -188,7 +188,7 @@ def _run_audit(cfg: JobConfig) -> ReportDocument:
 
 def _run_invariants(cfg: JobConfig) -> ReportDocument:
     report = _new_report(cfg)
-    rounds = cfg.args.get("rounds", "10")
+    rounds = cfg.args.get("rounds", str(_DEFAULT_ROUNDS))
     try:
         rounds = int(rounds)
     except ValueError:

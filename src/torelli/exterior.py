@@ -33,9 +33,12 @@ class SymplecticSpace:
     """Dimension-2g rational vector space with its standard symplectic basis.
 
     Index convention: slot i holds a_{i+1} for i < g, slot g+i holds b_{i+1}.
+    This class is the one place that checks a basis index and that knows
+    the pairing: `_duals[i]` is `dual(i)`, read directly by the kernels,
+    whose keys come from already validated terms.
     """
 
-    __slots__ = ("genus", "dim")
+    __slots__ = ("genus", "dim", "_duals")
 
     def __init__(self, genus: int):
         if not isinstance(genus, int) or isinstance(genus, bool):
@@ -44,6 +47,8 @@ class SymplecticSpace:
             raise ValueError("genus must be at least 2")
         self.genus = genus
         self.dim = 2 * genus
+        self._duals = (tuple((i + genus, 1) for i in range(genus))
+                       + tuple((i, -1) for i in range(genus)))
 
     def __eq__(self, other):
         return isinstance(other, SymplecticSpace) and other.genus == self.genus
@@ -54,13 +59,16 @@ class SymplecticSpace:
     def __repr__(self):
         return f"SymplecticSpace(genus={self.genus})"
 
-    def label(self, i: int) -> str:
+    def _check_index(self, i) -> None:
+        """Refuse a basis index that is not an int, is a bool, or is out of range."""
+        if not isinstance(i, int) or isinstance(i, bool):
+            raise TypeError(f"basis index must be an int, got {i!r}")
         if not 0 <= i < self.dim:
             raise ValueError(f"basis index {i} out of range for dimension {self.dim}")
-        return f"a{i + 1}" if i < self.genus else f"b{i - self.genus + 1}"
 
-    def labels(self) -> list[str]:
-        return [self.label(i) for i in range(self.dim)]
+    def label(self, i: int) -> str:
+        self._check_index(i)
+        return f"a{i + 1}" if i < self.genus else f"b{i - self.genus + 1}"
 
     def index(self, label: str) -> int:
         m = _LABEL_RE.match(label)
@@ -77,21 +85,17 @@ class SymplecticSpace:
         The pairing matrix is a signed permutation: a_k . b_k = 1 and
         b_k . a_k = -1, every other basis pair is 0.
         """
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} out of range for dimension {self.dim}")
-        if i < self.genus:
-            return i + self.genus, 1
-        return i - self.genus, -1
+        self._check_index(i)
+        return self._duals[i]
 
     def basis_pairing(self, i: int, j: int) -> int:
         """Intersection number of the i-th and j-th basis vectors."""
         k, sign = self.dual(i)
+        self._check_index(j)
         return sign if j == k else 0
 
     def basis_vector(self, i: int) -> Vector:
-        _check_index_type(i)
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} out of range for dimension {self.dim}")
+        self._check_index(i)
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
         return _vector(self, tuple(coords))
@@ -107,9 +111,6 @@ class SymplecticSpace:
         if not 1 <= handle <= self.genus:
             raise ValueError(f"handle {handle} out of range for genus {self.genus}")
         return self.basis_vector(self.genus + handle - 1)
-
-    def vector(self, coords) -> Vector:
-        return Vector(self, coords)
 
     def zero_vector(self) -> Vector:
         return _vector(self, (Fraction(0),) * self.dim)
@@ -234,17 +235,6 @@ class Multivector(_Sparse):
                         for k, c in sorted(self.terms.items()))
         return f"Multivector(g={self.space.genus}, deg={self.degree}, {body})"
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
-    def coefficient(self, indices) -> Fraction:
-        """Coefficient of the given index tuple, any slot order."""
-        indices = tuple(indices)
-        if len(set(indices)) < len(indices):
-            return Fraction(0)
-        sign, key = _sort_with_sign(indices)
-        return sign * self.terms.get(key, Fraction(0))
-
     def to_vector(self) -> Vector:
         if self.degree != 1:
             raise ValueError(f"cannot view a degree-{self.degree} multivector as a vector")
@@ -340,9 +330,7 @@ def _normal_wedge_terms(space: SymplecticSpace, degree: int, terms):
         if len(indices) != degree:
             raise ValueError(f"term {indices} has wrong arity for degree {degree}")
         for i in indices:
-            _check_index_type(i)
-            if not 0 <= i < space.dim:
-                raise ValueError(f"basis index {i} out of range for dimension {space.dim}")
+            space._check_index(i)
         if len(set(indices)) < degree:
             continue  # repeated slot, the term is zero
         sign, key = _sort_with_sign(indices)
@@ -353,17 +341,12 @@ def _normal_sym2_terms(space: SymplecticSpace, terms):
     """Validate outside terms and yield them with keys (i, j), i <= j."""
     for key, coeff in terms.items():
         i, j = key
-        _check_index_type(i)
-        _check_index_type(j)
-        if not (0 <= i < space.dim and 0 <= j < space.dim):
-            raise ValueError(f"basis index pair {key} out of range")
+        try:
+            space._check_index(i)
+            space._check_index(j)
+        except ValueError:
+            raise ValueError(f"basis index pair {key} out of range") from None
         yield ((i, j) if i <= j else (j, i)), as_rational(coeff)
-
-
-def _check_index_type(i) -> None:
-    """Refuse a basis index that is not an int, as SymplecticSpace refuses a genus."""
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise TypeError(f"basis index must be an int, got {i!r}")
 
 
 def _same_space(x, y, cls):
@@ -383,16 +366,15 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def intersection(u: Vector, v: Vector) -> Fraction:
     """Intersection pairing u . v in the standard basis."""
     _same_space(u, v, Vector)
-    g = u.space.genus
-    x, y = u.coords, v.coords
+    y = v.coords
     total = Fraction(0)
-    # zero coordinates are skipped: subsurface validation pairs mostly
-    # sparse vectors, and every skipped product is an exact 0
-    for i in range(g):
-        if x[i] and y[g + i]:
-            total += x[i] * y[g + i]
-        if x[g + i] and y[i]:
-            total -= x[g + i] * y[i]
+    # zero coordinates are skipped: every skipped product is an exact 0
+    for x, (j, sign) in zip(u.coords, u.space._duals):
+        if x and y[j]:
+            if sign > 0:
+                total += x * y[j]
+            else:
+                total -= x * y[j]
     return total
 
 
@@ -507,16 +489,12 @@ def contraction3(x: Multivector) -> Vector:
         raise ValueError("contraction3 expects a degree-3 multivector")
     space = x.space
     coords = [Fraction(0)] * space.dim
+    duals = space._duals
     for (i, j, k), c in x.terms.items():
-        pij = space.basis_pairing(i, j)
-        if pij:
-            coords[k] += c * pij
-        pjk = space.basis_pairing(j, k)
-        if pjk:
-            coords[i] += c * pjk
-        pki = space.basis_pairing(k, i)
-        if pki:
-            coords[j] += c * pki
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            dual, sign = duals[p]
+            if dual == q:
+                coords[r] += c if sign > 0 else -c
     return _vector(space, tuple(coords))
 
 

@@ -64,10 +64,11 @@ def _dual_key(space, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     permutation matrix, whose determinant is the product of the slot
     signs times the sign of the sort.
     """
+    duals = space._duals
     sign = 1
     image = []
     for i in key:
-        j, e = space.dual(i)
+        j, e = duals[i]
         image.append(j)
         sign *= e
     sort_sign, dual = _sort_with_sign(tuple(image))
@@ -144,11 +145,11 @@ def _phi_terms(s: Multivector, t: Multivector):
         for p, q, r in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1)):
             pairs.setdefault((p, q), []).append((r, d))
             pairs.setdefault((q, p), []).append((r, minus_d))
-    dual = s.space.dual
+    duals = s.space._duals
     for u, c in s.terms.items():
         for p, q, w in ((u[0], u[1], u[2]), (u[1], u[2], u[0]), (u[2], u[0], u[1])):
-            dp, ep = dual(p)
-            dq, eq = dual(q)
+            dp, ep = duals[p]
+            dq, eq = duals[q]
             matches = pairs.get((dp, dq))
             if matches is None:
                 continue
@@ -208,7 +209,7 @@ class Transvection:
         if isinstance(x, Multivector) and x.degree == 1:
             return self.apply_vector(x.to_vector(), inverse).to_multivector()
         c, sign = self.direction, -1 if inverse else 1
-        p = [sign * e * c.coords[j] for j, e in map(self.space.dual, range(self.space.dim))]
+        p = [sign * e * c.coords[j] for j, e in self.space._duals]
         if isinstance(x, Multivector):
             contracted: dict = {}
             for key, a in x.terms.items():

@@ -54,31 +54,24 @@ class SubsurfaceSpec:
         if d.is_zero():
             raise InvalidSubsurface("boundary class d must be nonzero")
         pairs = tuple((e, f) for e, f in pairs)
-        g = d.space.genus
+        duals = d.space._duals
 
         def scaled(v):
             # (D, ints, J ints): x . y is (ints_x . J ints_y) / (D_x D_y)
             den, ints = _over_common_denominator(v.coords)
-            return den, ints, ints[g:] + [-n for n in ints[:g]]
+            return den, ints, [sign * ints[j] for j, sign in duals]
 
-        def pairing(x, y):
-            return sum(map(mul, x[1], y[2])), x[0] * y[0]
-
-        vecs = []
+        vecs = [("d", scaled(d))]
         for n, (e, f) in enumerate(pairs, start=1):
             for v, name in ((e, f"e{n}"), (f, f"f{n}")):
                 if not isinstance(v, Vector) or v.space != d.space:
                     raise InvalidSubsurface(f"{name} must be a Vector in the same space as d")
                 vecs.append((name, scaled(v)))
-        sd = scaled(d)
-        for name, y in vecs:
-            val, den = pairing(sd, y)
-            if val:
-                raise InvalidSubsurface(f"d . {name} = {Fraction(val, den)}, expected 0")
+        # d first, so its checks come before those among the pairs
         for i, (namex, x) in enumerate(vecs):
             for namey, y in vecs[i + 1:]:
                 want = 1 if (namex[0], namey[0]) == ("e", "f") and namex[1:] == namey[1:] else 0
-                val, den = pairing(x, y)
+                val, den = sum(map(mul, x[1], y[2])), x[0] * y[0]
                 if val != want * den:
                     raise InvalidSubsurface(
                         f"{namex} . {namey} = {Fraction(val, den)}, expected {want}")

@@ -1,8 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Elimination works on sparse rows: a row is a dict {column key: Fraction}
-with mutually orderable keys, or a dense sequence of Fraction, which is
-read as the dict of its nonzero entries keyed by position.
+with mutually orderable keys; zero entries are ignored.
 Pivots are kept in row echelon form on the smallest key of each row, so
 the kept row indices are the greedy in-order maximal independent set,
 whatever the column order.  mat_mul and is_identity take small dense
@@ -14,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def independent_row_indices(rows: list) -> list[int]:
+def independent_row_indices(rows: list[dict]) -> list[int]:
     """Indices of a maximal linearly independent subset, greedily in order."""
     pivots: dict = {}  # lead key -> row normalized to 1 there, all other keys larger
     kept = []
     for i, row in enumerate(rows):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {k: v for k, v in items if v}
+        row = {k: v for k, v in row.items() if v}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -39,7 +37,7 @@ def independent_row_indices(rows: list) -> list[int]:
     return kept
 
 
-def rank_of_rows(rows: list) -> int:
+def rank_of_rows(rows: list[dict]) -> int:
     """Exact rank of the row span."""
     return len(independent_row_indices(rows))
 

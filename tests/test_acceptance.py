@@ -156,7 +156,7 @@ def test_criterion_07_omega3_rank():
             t = random_multivector(sp, 3, rng)
             assert omega3(s, t) == -omega3(t, s)
         basis = primitive_basis(sp)
-        gram = [[omega3(x, y) for y in basis] for x in basis]
+        gram = [{j: omega3(x, y) for j, y in enumerate(basis)} for x in basis]
         assert rank_of_rows(gram) == 14
 
     _report(7, "omega3 antisymmetric with Gram rank 14 on the primitive part at g=3",

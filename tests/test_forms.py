@@ -151,7 +151,7 @@ class TestOmega3:
         """omega3 is a perfect pairing on the 14-dimensional primitive part."""
         sp = SymplecticSpace(3)
         basis = primitive_basis(sp)
-        gram = [[omega3(x, y) for y in basis] for x in basis]
+        gram = [{j: omega3(x, y) for j, y in enumerate(basis)} for x in basis]
         assert rank_of_rows(gram) == 14
 
 
