@@ -15,7 +15,7 @@ from .forms import Transvection, omega3, phi, q2
 from .johnson import (FIXTURE_NAMES, BoundingPairSpec, Fixture,
                       InvalidBoundingPair, InvalidSubsurface,
                       JohnsonIdentityError, JohnsonPair, SubsurfaceSpec,
-                      bounding_pair_action_matrix, builtin_fixture,
+                      bounding_pair_trivial_on_homology, builtin_fixture,
                       canonical_split, johnson_bp, johnson_element,
                       johnson_pair)
 from .h3model import (DEFAULT_KAPPA2, WEIGHT_TAGS, DimensionAudit,
@@ -39,7 +39,7 @@ __all__ = [
     "Transvection", "omega3", "phi", "q2",
     "FIXTURE_NAMES", "BoundingPairSpec", "Fixture", "InvalidBoundingPair",
     "InvalidSubsurface", "JohnsonIdentityError", "JohnsonPair", "SubsurfaceSpec",
-    "bounding_pair_action_matrix", "builtin_fixture", "canonical_split",
+    "bounding_pair_trivial_on_homology", "builtin_fixture", "canonical_split",
     "johnson_bp", "johnson_element", "johnson_pair",
     "DEFAULT_KAPPA2", "WEIGHT_TAGS", "DimensionAudit", "GradedH3Element",
     "TorelliParams", "act", "dimension_audit", "lift_tube", "variation",

@@ -20,9 +20,8 @@ from .exterior import (Multivector, contraction3, is_primitive, project_primitiv
                        split_primitive)
 from .forms import omega3, phi, q2
 from .h3model import GradedH3Element, act, dimension_audit
-from .johnson import (FIXTURE_NAMES, bounding_pair_action_matrix, johnson_element,
-                      johnson_pair)
-from .linalg import is_identity
+from .johnson import (FIXTURE_NAMES, bounding_pair_trivial_on_homology,
+                      johnson_element, johnson_pair)
 from .render import render_canonical
 from .report import ReportDocument, Verdict
 
@@ -116,8 +115,7 @@ def _johnson_pair_body(cfg: JobConfig, report: ReportDocument):
                 "j(side1) - j(side2) = d ^ delta"),
         Verdict("johnson-projections-agree", jp.projections_agree),
         Verdict("johnson-element-primitive", is_primitive(jp.primitive1)),
-        Verdict("bounding-pair-trivial-on-homology",
-                is_identity(bounding_pair_action_matrix(b))),
+        Verdict("bounding-pair-trivial-on-homology", bounding_pair_trivial_on_homology(b)),
     ])
     return jp.primitive1 if jp.cross_side_identity and jp.projections_agree else None
 

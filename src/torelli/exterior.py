@@ -244,7 +244,10 @@ class Multivector(_Sparse):
         return _vector(self.space, tuple(coords))
 
     def dense(self) -> list[Fraction]:
-        """Coefficients over the lexicographic basis-tuple order of this degree."""
+        """Coefficients over the lexicographic basis-tuple order of this degree.
+
+        No caller in the package; kept as a benchmark tracing target.
+        """
         return [self.terms.get(t, Fraction(0)) for t in self.space.basis_tuples(self.degree)]
 
 

@@ -225,7 +225,10 @@ class Transvection:
         return x + sym_product(c, _vector(self.space, tuple(w))) + s * sym_product(c, c)
 
     def matrix(self, inverse: bool = False) -> list[list[Fraction]]:
-        """Matrix of the action on the space; entry [i][j] is coord i of T(e_j)."""
+        """Matrix of the action on the space; entry [i][j] is coord i of T(e_j).
+
+        No caller in the package; kept as a benchmark tracing target.
+        """
         cols = [self.apply_vector(self.space.basis_vector(j), inverse).coords
                 for j in range(self.space.dim)]
         return [list(row) for row in zip(*cols)]

@@ -19,7 +19,6 @@ from .exterior import (Multivector, SymplecticSpace, Vector,
                        _over_common_denominator, delta, project_primitive,
                        wedge)
 from .forms import Transvection
-from .linalg import mat_mul
 
 
 class InvalidSubsurface(ValueError):
@@ -100,6 +99,9 @@ class BoundingPairSpec:
     __slots__ = ("space", "side1", "side2")
 
     def __init__(self, side1: SubsurfaceSpec, side2: SubsurfaceSpec):
+        for name, side in (("side1", side1), ("side2", side2)):
+            if not isinstance(side, SubsurfaceSpec):
+                raise TypeError(f"{name} must be a SubsurfaceSpec")
         if side1.space != side2.space:
             raise InvalidBoundingPair("sides live in different spaces")
         if not (side1.d + side2.d).is_zero():
@@ -170,15 +172,20 @@ def johnson_bp(b: BoundingPairSpec) -> Multivector:
     return pair.primitive1
 
 
-def bounding_pair_action_matrix(b: BoundingPairSpec) -> list[list[Fraction]]:
-    """Matrix on the space of twist(d) composed with inverse twist(d').
+def _fixes_every_basis_vector(space: SymplecticSpace, f) -> bool:
+    """Whether the map f on the space's Vectors sends each basis vector to itself."""
+    return all(f(e) == e for e in map(space.basis_vector, range(space.dim)))
 
-    Always the identity: the two twists along homologous curves cancel
-    on homology, which is the point of working with bounding pairs.
+
+def bounding_pair_trivial_on_homology(b: BoundingPairSpec) -> bool:
+    """Whether twist(d) composed with inverse twist(d') fixes every basis vector.
+
+    Always true: the two twists along homologous curves cancel on
+    homology, which is the point of working with bounding pairs.
     """
-    t1 = Transvection(b.side1.d)
-    t2 = Transvection(b.side2.d)
-    return mat_mul(t1.matrix(), t2.matrix(inverse=True))
+    t, t_prime = Transvection(b.side1.d), Transvection(b.side2.d)
+    return _fixes_every_basis_vector(
+        b.space, lambda e: t.apply_vector(t_prime.apply_vector(e, inverse=True)))
 
 
 def canonical_split(space: SymplecticSpace, handles: Sequence[int],

@@ -4,8 +4,9 @@ Elimination works on sparse rows: a row is a dict {column key: Fraction}
 with mutually orderable keys; zero entries are ignored.
 Pivots are kept in row echelon form on the smallest key of each row, so
 the kept row indices are the greedy in-order maximal independent set,
-whatever the column order.  mat_mul and is_identity take small dense
-matrices, lists of lists of Fraction.  No floats anywhere.
+whatever the column order.  mat_mul multiplies small dense matrices,
+lists of lists of Fraction; nothing in the package calls it.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ def rank_of_rows(rows: list[dict]) -> int:
 
 
 def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Dense matrix product.  No caller in the package; kept as a benchmark tracing target."""
     n, k, m = len(a), len(b), len(b[0])
     assert all(len(r) == k for r in a)
     return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
             for i in range(n)]
 
-
-def is_identity(a: list[list[Fraction]]) -> bool:
-    return all(v == (1 if i == j else 0) for i, row in enumerate(a) for j, v in enumerate(row))

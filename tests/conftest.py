@@ -100,6 +100,32 @@ def oracle_transvection(c: Vector, x, inverse: bool = False):
     return Multivector(space, x.degree, terms)
 
 
+def oracle_transvection_matrix(c: Vector, inverse: bool = False) -> list[list[Fraction]]:
+    """Dense matrix of v -> v + (v . c) c (or v - (v . c) c), column j the image of e_j.
+
+    Entry [r][j] is delta_rj + p_j c_r with p_j = +-(e_j . c), the pairing
+    read off the dense matrix.
+    """
+    space = c.space
+    j = dense_pairing_matrix(space)
+    sign = -1 if inverse else 1
+    p = [sign * sum((j[i][q] * c.coords[q] for q in range(space.dim)), Fraction(0))
+         for i in range(space.dim)]
+    return [[Fraction(int(r == i)) + p[i] * cr for i in range(space.dim)]
+            for r, cr in enumerate(c.coords)]
+
+
+def dense_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Product of two square dense matrices of the same size."""
+    n = len(a)
+    return [[sum((a[r][k] * b[k][col] for k in range(n)), Fraction(0)) for col in range(n)]
+            for r in range(n)]
+
+
+def dense_identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(r == col)) for col in range(n)] for r in range(n)]
+
+
 def oracle_omega3(s: Multivector, t: Multivector) -> Fraction:
     """Permutation-sum form of the 3-form pairing."""
     j = dense_pairing_matrix(s.space)

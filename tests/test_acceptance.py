@@ -14,8 +14,9 @@ import time
 from fractions import Fraction
 from math import comb
 
+from conftest import dense_identity, dense_product, oracle_transvection_matrix
 from torelli import (BoundingPairSpec, SubsurfaceSpec, SymplecticSpace,
-                     Transvection, bounding_pair_action_matrix,
+                     Transvection, bounding_pair_trivial_on_homology,
                      builtin_fixture, canonical_split, contraction3, delta,
                      johnson_bp, johnson_element, lift_tube, omega3,
                      parse_multivector, parse_sym2, parse_vector, phi,
@@ -27,7 +28,7 @@ from torelli.checks import (random_bounding_pair, random_multivector,
                             random_sym2, random_vector, respecify)
 from torelli.cli import main
 from torelli.h3model import GradedH3Element, act
-from torelli.linalg import is_identity, rank_of_rows
+from torelli.linalg import rank_of_rows
 
 EPSILON = Fraction(-1)  # frozen global sign of phi on the canonical fixture
 
@@ -164,16 +165,24 @@ def test_criterion_07_omega3_rank():
 
 
 def test_criterion_08_trivial_on_homology():
+    def acts_as_identity(bp):
+        product = dense_product(oracle_transvection_matrix(bp.side1.d),
+                                oracle_transvection_matrix(bp.side2.d, inverse=True))
+        return product == dense_identity(bp.space.dim)
+
     def check():
         sp3, bp, _ = _canonical_fixture_parts()
-        assert is_identity(bounding_pair_action_matrix(bp))
+        assert bounding_pair_trivial_on_homology(bp) and acts_as_identity(bp)
         for g in (3, 4):
             sp = SymplecticSpace(g)
             rng = random.Random(108 + g)
             for _ in range(25):
-                assert is_identity(
-                    bounding_pair_action_matrix(random_bounding_pair(sp, rng)))
-        assert not is_identity(Transvection(sp3.a(1)).matrix())
+                b = random_bounding_pair(sp, rng)
+                assert bounding_pair_trivial_on_homology(b) and acts_as_identity(b)
+        lone = Transvection(sp3.a(1))
+        basis = [sp3.basis_vector(i) for i in range(sp3.dim)]
+        assert any(lone.apply_vector(e) != e for e in basis)
+        assert oracle_transvection_matrix(sp3.a(1)) != dense_identity(sp3.dim)
 
     _report(8, "bounding pairs act as the identity matrix; a lone transvection does not",
             check)

@@ -279,6 +279,30 @@ class TestRankDisagreement:
         assert "PASS omega3-primitive-gram-rank" in out
 
 
+class TestNoDenseHomologyPath:
+    """No command builds a dense matrix: bounding pairs are checked by basis-vector images."""
+
+    @pytest.fixture(autouse=True)
+    def dense_path_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix path called")
+        monkeypatch.setattr(torelli.forms.Transvection, "matrix", refuse)
+        monkeypatch.setattr(torelli.linalg, "mat_mul", refuse)
+        monkeypatch.setattr(torelli.exterior.Multivector, "dense", refuse)
+
+    @pytest.mark.parametrize("command", ["act", "johnson"])
+    @pytest.mark.parametrize("fixture", ["paper-figure-1", "genus4-split"])
+    def test_pair_commands_pass(self, command, fixture):
+        report = run_job(build_config(command, fixture=fixture))
+        assert report.passed
+        assert "bounding-pair-trivial-on-homology" in {v.name for v in report.verdicts}
+
+    def test_invariants_pass(self):
+        verdicts = torelli.run_invariant_checks(3, 0, 2)
+        assert all(v.passed for v in verdicts)
+        assert "bounding-pair-trivial-on-homology" in {v.name for v in verdicts}
+
+
 class TestReports:
     def test_json_is_valid_and_sorted(self, capsys):
         code, out, _ = run(capsys, "act", "--fixture", "paper-figure-1",

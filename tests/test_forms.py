@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_omega3, oracle_phi_decomposables,
-                      oracle_q2_vectors, oracle_transvection)
+from conftest import (dense_identity, oracle_omega3, oracle_phi_decomposables,
+                      oracle_q2_vectors, oracle_transvection,
+                      oracle_transvection_matrix)
 from test_exterior import rand_mv, rand_vector
 from torelli import (Multivector, Sym2Element, SymplecticSpace, Transvection,
                      delta, intersection, omega3, phi, primitive_basis,
                      project_primitive, q2, sym_product, wedge)
 from torelli import forms
 from torelli.forms import omega3_gram_rows
-from torelli.linalg import is_identity, mat_mul, rank_of_rows
+from torelli.linalg import mat_mul, rank_of_rows
 
 
 def handle_form(space, degree, rng, handles, nterms):
@@ -321,7 +322,8 @@ class TestTransvection:
             for j in range(sp.dim):
                 image = t.apply_vector(sp.basis_vector(j))
                 assert [m[i][j] for i in range(sp.dim)] == list(image.coords)
-            assert is_identity(mat_mul(m, t.matrix(inverse=True)))
+            assert m == oracle_transvection_matrix(t.direction)
+            assert mat_mul(m, t.matrix(inverse=True)) == dense_identity(sp.dim)
 
     def test_invariance_of_omega3_and_q2(self):
         sp = SymplecticSpace(3)

@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_identity, dense_product, oracle_transvection_matrix
 from torelli import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                      JohnsonIdentityError, SubsurfaceSpec, SymplecticSpace,
-                     bounding_pair_action_matrix, builtin_fixture,
-                     canonical_split, contraction3, delta, is_primitive, johnson_bp,
-                     johnson_element, johnson_pair, project_primitive, wedge)
-from torelli.checks import random_bounding_pair, respecify
-from torelli.johnson import FIXTURE_NAMES
-from torelli.linalg import is_identity
+                     Transvection, bounding_pair_trivial_on_homology,
+                     builtin_fixture, canonical_split, contraction3, delta,
+                     is_primitive, johnson_bp, johnson_element, johnson_pair,
+                     project_primitive, wedge)
+from torelli.checks import random_bounding_pair, random_vector, respecify
+from torelli.johnson import FIXTURE_NAMES, _fixes_every_basis_vector
 from torelli.render import render_multivector
 
 
@@ -108,6 +109,13 @@ class TestBoundingPairSpec:
             b = canonical_pair(SymplecticSpace(g))
             assert b.side1.genus + b.side2.genus == g - 1
 
+    def test_sides_must_be_subsurface_specs(self):
+        side = canonical_pair(SymplecticSpace(3)).side1
+        for args, name in ((("x", "y"), "side1"), ((side, "y"), "side2"),
+                           ((side.d, side), "side1")):
+            with pytest.raises(TypeError, match=f"^{name} must be a SubsurfaceSpec$"):
+                BoundingPairSpec(*args)
+
 
 class TestCanonicalSplit:
     def test_shuffled_handles(self):
@@ -198,12 +206,52 @@ class TestJohnsonBP:
             assert johnson_bp(respecify(b, rng, swap=True)) == j
 
     def test_action_matrix_is_identity(self):
+        """The predicate and the oracle matrix of T_d T_d'^-1 agree at genus 3-8."""
         rng = random.Random(43)
-        for g in (3, 4):
+        pairs = [builtin_fixture(name).pairs["bp"] for name in FIXTURE_NAMES]
+        for g in range(3, 9):
             sp = SymplecticSpace(g)
-            for _ in range(8):
-                b = random_bounding_pair(sp, rng)
-                assert is_identity(bounding_pair_action_matrix(b))
+            pairs += [canonical_split(sp, range(1, g + 1), h1) for h1 in range(g)]
+            pairs += [random_bounding_pair(sp, rng) for _ in range(8)]
+        for b in pairs:
+            assert composite_matrix(b.side1.d, b.side2.d) == dense_identity(b.space.dim)
+            assert bounding_pair_trivial_on_homology(b) is True
+
+
+def composite_matrix(c, c_prime):
+    """The oracle matrix of T_c composed with the inverse of T_c'."""
+    return dense_product(oracle_transvection_matrix(c),
+                         oracle_transvection_matrix(c_prime, inverse=True))
+
+
+class TestTrivialOnHomology:
+    """The basis-vector loop against dense oracle matrices built without Transvection."""
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_basis_loop_agrees_with_oracle_on_composites(self, g):
+        """T_u T_v^-1 is the identity exactly when u = +-v; the loop sees both outcomes."""
+        sp = SymplecticSpace(g)
+        rng = random.Random(330 + g)
+        seen = set()
+        for _ in range(8):
+            u = random_vector(sp, rng, denominators=True) + sp.a(1)
+            for v in (u, -u, random_vector(sp, rng, denominators=True) + sp.b(1)):
+                t, t_inv = Transvection(u), Transvection(v)
+                fixed = _fixes_every_basis_vector(
+                    sp, lambda e: t.apply_vector(t_inv.apply_vector(e, inverse=True)))
+                assert fixed is (composite_matrix(u, v) == dense_identity(sp.dim))
+                seen.add(fixed)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("g", range(3, 9))
+    def test_lone_twist_is_never_trivial(self, g):
+        sp = SymplecticSpace(g)
+        for c in [sp.a(h) for h in range(1, g + 1)] + [sp.b(h) for h in range(1, g + 1)]:
+            assert oracle_transvection_matrix(c) != dense_identity(sp.dim)
+            t = Transvection(c)
+            for inverse in (False, True):
+                assert _fixes_every_basis_vector(
+                    sp, lambda e: t.apply_vector(e, inverse)) is False
 
 
 class TestFixtures:

@@ -10,3 +10,5 @@ def test_every_exported_name_resolves():
     assert missing == []
     assert len(set(torelli.__all__)) == len(torelli.__all__)
     assert "canonical_split" in torelli.__all__
+    assert "bounding_pair_trivial_on_homology" in torelli.__all__
+    assert not hasattr(torelli, "bounding_pair_action_matrix")
