@@ -22,8 +22,8 @@ from .h3model import (DEFAULT_KAPPA2, WEIGHT_TAGS, DimensionAudit,
                       GradedH3Element, TorelliParams, act, dimension_audit,
                       lift_tube, variation)
 from .render import (ParseError, parse_multivector, parse_rational, parse_sym2,
-                     parse_vector, render_canonical, render_multivector,
-                     render_rational, render_sym2, render_vector)
+                     render_canonical, render_multivector, render_rational,
+                     render_sym2)
 from .config import ConfigError, JobConfig, config_from_fixture, parse_config
 from .report import ReportDocument, Verdict
 from .checks import run_invariant_checks
@@ -44,8 +44,7 @@ __all__ = [
     "DEFAULT_KAPPA2", "WEIGHT_TAGS", "DimensionAudit", "GradedH3Element",
     "TorelliParams", "act", "dimension_audit", "lift_tube", "variation",
     "ParseError", "parse_multivector", "parse_rational", "parse_sym2",
-    "parse_vector", "render_canonical", "render_multivector",
-    "render_rational", "render_sym2", "render_vector",
+    "render_canonical", "render_multivector", "render_rational", "render_sym2",
     "ConfigError", "JobConfig", "config_from_fixture", "parse_config",
     "ReportDocument", "Verdict",
     "run_invariant_checks", "main", "run_job",

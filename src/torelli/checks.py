@@ -25,7 +25,7 @@ from .johnson import (BoundingPairSpec, SubsurfaceSpec,
                       canonical_split, johnson_bp, johnson_element,
                       johnson_pair)
 from .linalg import rank_of_rows
-from .render import parse_multivector, parse_sym2, parse_vector, render_canonical
+from .render import parse_multivector, parse_sym2, render_canonical
 from .report import Verdict
 
 # rounds per randomized verdict; the CLI reports it when a job names none
@@ -33,7 +33,7 @@ _DEFAULT_ROUNDS = 10
 
 
 def random_vector(space: SymplecticSpace, rng: random.Random,
-                  denominators: bool = False) -> Vector:
+                  denominators: bool = False) -> Multivector:
     coords = []
     for _ in range(space.dim):
         num = rng.randint(-3, 3)
@@ -43,7 +43,7 @@ def random_vector(space: SymplecticSpace, rng: random.Random,
 
 
 def random_primitive_integral_vector(space: SymplecticSpace,
-                                     rng: random.Random) -> Vector:
+                                     rng: random.Random) -> Multivector:
     """Nonzero integral vector with coprime entries."""
     while True:
         ints = [rng.randint(-3, 3) for _ in range(space.dim)]
@@ -78,7 +78,7 @@ def random_transvection(space: SymplecticSpace, rng: random.Random) -> Transvect
     return Transvection(random_primitive_integral_vector(space, rng))
 
 
-def _jitter_pairs(d: Vector, pairs, rng: random.Random):
+def _jitter_pairs(d: Multivector, pairs, rng: random.Random):
     """Respecify one side without changing the subsurface it describes."""
     pairs = [list(p) for p in pairs]
     for p in pairs:
@@ -111,9 +111,9 @@ def random_bounding_pair(space: SymplecticSpace, rng: random.Random) -> Bounding
     pairs2 = _jitter_pairs(d, split.side2.pairs, rng)
     maps = [random_transvection(space, rng) for _ in range(rng.randint(0, 4))]
 
-    def push(v: Vector) -> Vector:
+    def push(v: Multivector) -> Multivector:
         for t in maps:
-            v = t.apply_vector(v)
+            v = t.apply(v)
         return v
 
     d = push(d)
@@ -224,9 +224,8 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
           "measured: phi(delta^v, w) = 0 for primitive w")
 
     preserves = holds(lambda: (twist(), vec(), vec()),
-                      lambda t, u, v: (intersection(t.apply_vector(u), t.apply_vector(v))
-                                       == intersection(u, v)
-                                       and t.apply_vector(t.apply_vector(u), inverse=True) == u))
+                      lambda t, u, v: (intersection(t.apply(u), t.apply(v)) == intersection(u, v)
+                                       and t.apply(t.apply(u), inverse=True) == u))
     fixes_delta = holds(lambda: (twist(),),
                         lambda t: t.apply(delta(space)) == delta(space))
     out.append(Verdict("transvection-symplectic", preserves and fixes_delta,
@@ -247,7 +246,7 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
           "contraction3(j(side)) = genus(side) d, measured and frozen")
 
     ok = holds(lambda: (pair(),), bounding_pair_trivial_on_homology)
-    single = Transvection(space.b(1)).apply_vector
+    single = Transvection(space.b(1)).apply
     out.append(Verdict("bounding-pair-trivial-on-homology",
                        ok and not _fixes_every_basis_vector(space, single),
                        "composite is the identity, a lone twist is not"))
@@ -278,9 +277,8 @@ def run_invariant_checks(genus: int = 3, seed: int = 0,
 
     check("render-parse-round-trip",
           lambda: (vec(True), [mv(degree, True) for degree in (1, 2, 3)], sym2()),
-          lambda v, xs, s: (parse_vector(space, render_canonical(v)) == v
-                            and all(parse_multivector(space, render_canonical(x), x.degree) == x
-                                    for x in xs)
+          lambda v, xs, s: (all(parse_multivector(space, render_canonical(x), x.degree) == x
+                                for x in (v, *xs))
                             and parse_sym2(space, render_canonical(s)) == s))
 
     return sorted(out, key=lambda v: v.name)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .exterior import Multivector, SymplecticSpace, Vector
+from .exterior import Multivector, SymplecticSpace
 from .h3model import DEFAULT_KAPPA2, TorelliParams
 from .johnson import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                       SubsurfaceSpec, builtin_fixture)
-from .render import ParseError, parse_multivector, parse_rational, parse_vector
+from .render import ParseError, parse_multivector, parse_rational
 
 _KINDS = ("vector", "multivector", "subsurface", "boundingpair", "args")
 ARG_KEYS = ("input", "form", "left", "right", "pair", "subsurface", "top", "rounds")
@@ -41,7 +42,7 @@ class JobConfig:
     kappa1: Fraction = Fraction(0)
     kappa2: Fraction = DEFAULT_KAPPA2
     space: SymplecticSpace | None = None
-    vectors: dict[str, Vector] = field(default_factory=dict)
+    vectors: dict[str, Multivector] = field(default_factory=dict)
     multivectors: dict[str, Multivector] = field(default_factory=dict)
     subsurfaces: dict[str, SubsurfaceSpec] = field(default_factory=dict)
     pairs: dict[str, BoundingPairSpec] = field(default_factory=dict)
@@ -170,12 +171,12 @@ def _is_basis_label(space: SymplecticSpace, name: str) -> bool:
         return False
 
 
-def _resolve_vector(cfg: JobConfig, token: str, lineno: int) -> Vector:
+def _resolve_vector(cfg: JobConfig, token: str, lineno: int) -> Multivector:
     token = token.strip()
     if token in cfg.vectors:
         return cfg.vectors[token]
     try:
-        return parse_vector(cfg.require_space(), token)
+        return parse_multivector(cfg.require_space(), token, 1)
     except ParseError as exc:
         raise ConfigError(f"cannot resolve vector {token!r}: {exc}", lineno) from None
 
@@ -183,10 +184,6 @@ def _resolve_vector(cfg: JobConfig, token: str, lineno: int) -> Vector:
 def _coeff_list(value: str, lineno: int) -> list[Fraction]:
     parts = [p for p in value.replace(",", " ").split() if p]
     return [_parse_rational(p, lineno, "coefficient") for p in parts]
-
-
-def _build_vector(cfg, name, items, lineno):
-    return _build_multivector(cfg, name, items, lineno, kind="vector").to_vector()
 
 
 def _build_multivector(cfg, name, items, lineno, kind="multivector"):
@@ -199,6 +196,8 @@ def _build_multivector(cfg, name, items, lineno, kind="multivector"):
     if "degree" in keys:
         value, ln = keys["degree"][0]
         degree = _parse_int(value, ln, "degree")
+        if degree not in (1, 2, 3):
+            raise ConfigError(f"degree must be 1, 2 or 3, got {degree}", ln)
     if ("coeffs" in keys) == ("expr" in keys):
         raise ConfigError(f"{kind} {name!r} needs exactly one of coeffs/expr", lineno)
     if "coeffs" in keys:
@@ -206,8 +205,6 @@ def _build_multivector(cfg, name, items, lineno, kind="multivector"):
             raise ConfigError(f"{kind} {name!r} with coeffs needs a degree", lineno)
         value, ln = keys["coeffs"][0]
         coeffs = _coeff_list(value, ln)
-        if degree not in (1, 2, 3):
-            raise ConfigError(f"degree must be 1, 2 or 3, got {degree}", lineno)
         tuples = space.basis_tuples(degree)
         if len(coeffs) != len(tuples):
             raise ConfigError(
@@ -305,7 +302,8 @@ def parse_config(text: str, base: JobConfig | None = None) -> JobConfig:
     top, sections = _split_sections(text)
     for key, value, lineno in top:
         set_top_level(cfg, key, value, lineno)
-    builders = {"vector": _build_vector, "multivector": _build_multivector,
+    builders = {"vector": partial(_build_multivector, kind="vector"),
+                "multivector": _build_multivector,
                 "subsurface": _build_subsurface, "boundingpair": _build_boundingpair}
     for section in sections:
         kind, name, lineno = section["kind"], section["name"], section["lineno"]

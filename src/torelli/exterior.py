@@ -3,7 +3,9 @@
 The space has dimension 2g with ordered basis a1..ag, b1..bg and the
 standard pairing a_i . b_i = 1 = -(b_i . a_i).  Multivectors live in
 degrees one to three only; degree four and up is refused rather than
-half-supported.  All coefficients are Fraction, never float.
+half-supported.  A vector is a degree-one multivector; Vector(space,
+coords) builds one from dense coordinates.  All coefficients are
+Fraction, never float.
 
 Sparse normal form: a multivector stores a map from strictly increasing
 index tuples to nonzero coefficients, the sign of any slot permutation
@@ -94,76 +96,25 @@ class SymplecticSpace:
         self._check_index(j)
         return sign if j == k else 0
 
-    def basis_vector(self, i: int) -> Vector:
+    def basis_vector(self, i: int) -> Multivector:
         self._check_index(i)
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return _vector(self, tuple(coords))
+        return _multivector(self, 1, {(i,): Fraction(1)})
 
-    def a(self, handle: int) -> Vector:
+    def a(self, handle: int) -> Multivector:
         """The handle-th a-basis vector, 1-indexed."""
         if not 1 <= handle <= self.genus:
             raise ValueError(f"handle {handle} out of range for genus {self.genus}")
         return self.basis_vector(handle - 1)
 
-    def b(self, handle: int) -> Vector:
+    def b(self, handle: int) -> Multivector:
         """The handle-th b-basis vector, 1-indexed."""
         if not 1 <= handle <= self.genus:
             raise ValueError(f"handle {handle} out of range for genus {self.genus}")
         return self.basis_vector(self.genus + handle - 1)
 
-    def zero_vector(self) -> Vector:
-        return _vector(self, (Fraction(0),) * self.dim)
-
     def basis_tuples(self, degree: int) -> list[tuple[int, ...]]:
         """All strictly increasing index tuples of the given degree, lexicographic."""
         return list(itertools.combinations(range(self.dim), degree))
-
-
-class Vector:
-    """Degree-one element, stored densely."""
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space: SymplecticSpace, coords):
-        coords = tuple(as_rational(c) for c in coords)
-        if len(coords) != space.dim:
-            raise ValueError(f"expected {space.dim} coordinates, got {len(coords)}")
-        self.space = space
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector) and other.space == self.space
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash((self.space, self.coords))
-
-    def __add__(self, other):
-        _same_space(self, other, Vector)
-        return _vector(self.space, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        _same_space(self, other, Vector)
-        return _vector(self.space, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return _vector(self.space, tuple(-x for x in self.coords))
-
-    def __rmul__(self, scalar):
-        s = as_rational(scalar)
-        return _vector(self.space, tuple(s * x for x in self.coords))
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.coords)
-        return f"Vector(g={self.space.genus}; {body})"
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def to_multivector(self) -> Multivector:
-        return _multivector(self.space, 1,
-                            {(i,): c for i, c in enumerate(self.coords) if c})
 
 
 class _Sparse:
@@ -235,20 +186,26 @@ class Multivector(_Sparse):
                         for k, c in sorted(self.terms.items()))
         return f"Multivector(g={self.space.genus}, deg={self.degree}, {body})"
 
-    def to_vector(self) -> Vector:
-        if self.degree != 1:
-            raise ValueError(f"cannot view a degree-{self.degree} multivector as a vector")
-        coords = [Fraction(0)] * self.space.dim
-        for (i,), c in self.terms.items():
-            coords[i] = c
-        return _vector(self.space, tuple(coords))
-
     def dense(self) -> list[Fraction]:
         """Coefficients over the lexicographic basis-tuple order of this degree.
 
         No caller in the package; kept as a benchmark tracing target.
         """
         return [self.terms.get(t, Fraction(0)) for t in self.space.basis_tuples(self.degree)]
+
+
+def Vector(space: SymplecticSpace, coords) -> Multivector:
+    """The degree-one element with dense coordinates over a1..ag, b1..bg.
+
+    The one validated dense-coordinate constructor: every coordinate goes
+    through as_rational, and there must be exactly space.dim of them.  It
+    keeps the name of the dense class it replaced, which the benchmark's
+    tracer (bench/tracing.py) counts as `exterior.Vector`.
+    """
+    coords = [as_rational(c) for c in coords]
+    if len(coords) != space.dim:
+        raise ValueError(f"expected {space.dim} coordinates, got {len(coords)}")
+    return _multivector(space, 1, {(i,): c for i, c in enumerate(coords) if c})
 
 
 class Sym2Element(_Sparse):
@@ -305,13 +262,6 @@ def _add_into(out: dict, items) -> dict:
     return out
 
 
-def _vector(space: SymplecticSpace, coords: tuple) -> Vector:
-    """Wrap a tuple of space.dim Fractions; no validation, no copy."""
-    v = object.__new__(Vector)
-    v.space, v.coords = space, coords
-    return v
-
-
 def _multivector(space: SymplecticSpace, degree: int, terms: dict) -> Multivector:
     """Wrap a dict already in normal form; no validation, no copy."""
     x = object.__new__(Multivector)
@@ -366,27 +316,66 @@ def _sort_with_sign(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (-1) ** inversions, tuple(order)
 
 
-def intersection(u: Vector, v: Vector) -> Fraction:
-    """Intersection pairing u . v in the standard basis."""
-    _same_space(u, v, Vector)
-    y = v.coords
+def _check_vector(x, what: str) -> None:
+    """Refuse anything but a degree-one multivector, naming it as `what`."""
+    if not isinstance(x, Multivector) or x.degree != 1:
+        raise TypeError(f"{what} must be a degree-1 Multivector")
+
+
+def intersection(u: Multivector, v: Multivector) -> Fraction:
+    """Intersection pairing u . v: the degree-one case of the determinant pairing."""
+    _check_vector(u, "u")
+    _check_vector(v, "v")
+    _same_space(u, v, Multivector)
+    return _pair_dual_keys(u, v)
+
+
+def _dual_key(space: SymplecticSpace, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The one basis key that pairs nonzero with `key`, and the sign of that pairing.
+
+    The slotwise pairing matrix of e_key against e_J is nonzero only when
+    J is the sorted image of key under the dual map; it is then a signed
+    permutation matrix, whose determinant is the product of the slot
+    signs times the sign of the sort.
+    """
+    duals = space._duals
+    sign = 1
+    image = []
+    for i in key:
+        j, e = duals[i]
+        image.append(j)
+        sign *= e
+    sort_sign, dual = _sort_with_sign(tuple(image))
+    return sign * sort_sign, dual
+
+
+def _pair_dual_keys(x: Multivector, y: Multivector) -> Fraction:
+    """The determinant pairing of two same-degree forms: one lookup per term of x.
+
+    Degree one is the intersection pairing, degree two q2, degree three omega3.
+    """
+    space = x.space
+    get = y.terms.get
     total = Fraction(0)
-    # zero coordinates are skipped: every skipped product is an exact 0
-    for x, (j, sign) in zip(u.coords, u.space._duals):
-        if x and y[j]:
-            if sign > 0:
-                total += x * y[j]
-            else:
-                total -= x * y[j]
+    for key, c in x.terms.items():
+        sign, dual = _dual_key(space, key)
+        d = get(dual)
+        if d is None:
+            continue
+        if sign > 0:
+            total += c * d
+        else:
+            total -= c * d
     return total
 
 
-def sym_product(u: Vector, v: Vector) -> Sym2Element:
+def sym_product(u: Multivector, v: Multivector) -> Sym2Element:
     """Symmetric product uv in the symmetric square."""
-    _same_space(u, v, Vector)
+    _check_vector(u, "u")
+    _check_vector(v, "v")
+    _same_space(u, v, Multivector)
     products = (((i, j) if i <= j else (j, i), x * y)
-                for i, x in enumerate(u.coords) if x
-                for j, y in enumerate(v.coords) if y)
+                for (i,), x in u.terms.items() for (j,), y in v.terms.items())
     return _sym2(u.space, _add_into({}, products))
 
 
@@ -396,16 +385,8 @@ def delta(space: SymplecticSpace) -> Multivector:
     return _multivector(space, 2, {(i, g + i): Fraction(1) for i in range(g)})
 
 
-def _as_multivector(x) -> Multivector:
-    if isinstance(x, Vector):
-        return x.to_multivector()
-    if isinstance(x, Multivector):
-        return x
-    raise TypeError(f"expected Vector or Multivector, got {type(x).__name__}")
-
-
 def wedge(x, y, *more) -> Multivector:
-    """Wedge product; accepts Vector or Multivector factors, total degree <= 3.
+    """Wedge product of multivectors, total degree <= 3.
 
     Each factor is scaled to integers over the common denominator of its
     coefficients, products are summed as Python ints, and one Fraction is
@@ -416,7 +397,8 @@ def wedge(x, y, *more) -> Multivector:
         for z in more:
             out = wedge(out, z)
         return out
-    x, y = _as_multivector(x), _as_multivector(y)
+    if not isinstance(x, Multivector):
+        raise TypeError(f"expected Multivector, got {type(x).__name__}")
     _same_space(x, y, Multivector)
     degree = x.degree + y.degree
     if degree > 3:
@@ -482,7 +464,7 @@ def _merge(s: tuple[int, ...], t: tuple[int, ...]):
     return ((q, r, p), 1) if r < p else None
 
 
-def contraction3(x: Multivector) -> Vector:
+def contraction3(x: Multivector) -> Multivector:
     """Cyclic contraction of a 3-form with the pairing.
 
     On a decomposable u0^u1^u2 this is the sum over i in Z/3 of
@@ -498,10 +480,10 @@ def contraction3(x: Multivector) -> Vector:
             dual, sign = duals[p]
             if dual == q:
                 coords[r] += c if sign > 0 else -c
-    return _vector(space, tuple(coords))
+    return _multivector(space, 1, {(i,): c for i, c in enumerate(coords) if c})
 
 
-def split_primitive(x: Multivector) -> tuple[Multivector, Vector, Multivector]:
+def split_primitive(x: Multivector) -> tuple[Multivector, Multivector, Multivector]:
     """The splitting x = p + delta ^ w of a 3-form, as (p, w, delta ^ w).
 
     p is primitive and w = contraction3(x) / (g-1); the constant is forced

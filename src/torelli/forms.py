@@ -7,7 +7,8 @@ equivariance test machinery.
 
 The basis pairing is a signed permutation (a_i <-> b_i, see
 SymplecticSpace.dual), so no kernel scans pairs of terms.  omega3 and q2
-cost one dict lookup per term of the left form: its key's dual.  phi
+cost one dict lookup per term of the left form: its key's dual
+(exterior._pair_dual_keys, whose degree-one case is intersection).  phi
 indexes the right form once by ordered slot pair and then costs
 3·|s| lookups, one per cyclic slot pair of each term of the left form.
 
@@ -17,17 +18,17 @@ with i_c(v) = v . c; the inverse is x - c ^ i_c(x).  On Sym^2, with
 p_i = e_i . c, T(x) = x + c.w + s c^2 for the vector
 w = sum a (p_i e_j + p_j e_i) and the scalar s = sum a p_i p_j over the
 terms a e_i e_j of x; the inverse is x - c.w + s c^2.  So one apply costs
-one contraction pass and one wedge, or one pass and two symmetric
-products.
+one contraction pass and one wedge (a scalar multiple of c on a 1-form),
+or one pass and two symmetric products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import (Multivector, Sym2Element, Vector, _add_into,
-                       _multivector, _same_space, _sort_with_sign, _sym2,
-                       _vector, intersection, sym_product, wedge)
+from .exterior import (Multivector, Sym2Element, _add_into, _check_vector,
+                       _dual_key, _multivector, _pair_dual_keys, _same_space,
+                       _sym2, sym_product, wedge)
 
 
 def _check_degree(x, degree: int, name: str):
@@ -54,42 +55,6 @@ def q2(x: Multivector, y: Multivector) -> Fraction:
     _check_degree(y, 2, "q2")
     _same_space(x, y, Multivector)
     return _pair_dual_keys(x, y)
-
-
-def _dual_key(space, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The one basis key that pairs nonzero with `key`, and the sign of that pairing.
-
-    The slotwise pairing matrix of e_key against e_J is nonzero only when
-    J is the sorted image of key under the dual map; it is then a signed
-    permutation matrix, whose determinant is the product of the slot
-    signs times the sign of the sort.
-    """
-    duals = space._duals
-    sign = 1
-    image = []
-    for i in key:
-        j, e = duals[i]
-        image.append(j)
-        sign *= e
-    sort_sign, dual = _sort_with_sign(tuple(image))
-    return sign * sort_sign, dual
-
-
-def _pair_dual_keys(x: Multivector, y: Multivector) -> Fraction:
-    """The determinant pairing of two same-degree forms: one lookup per term of x."""
-    space = x.space
-    get = y.terms.get
-    total = Fraction(0)
-    for key, c in x.terms.items():
-        sign, dual = _dual_key(space, key)
-        d = get(dual)
-        if d is None:
-            continue
-        if sign > 0:
-            total += c * d
-        else:
-            total -= c * d
-    return total
 
 
 def omega3_gram_rows(basis: list[Multivector]) -> list[dict[int, Fraction]]:
@@ -169,7 +134,8 @@ class Transvection:
       with i_c(v) = v . c, so that on a basis term it drops slot n and
       multiplies by (-1)^n p_i, i the index in that slot.  Expanding
       T(v_0) ^ ... ^ T(v_{k-1}), every term with c twice vanishes.  The
-      inverse is x - c ^ i_c(x).
+      inverse is x - c ^ i_c(x).  On a 1-form i_c(x) is the scalar
+      x . c, so T(x) = x + (x . c) c.
     - On Sym^2, T(x) = x + c.w + s c^2, where x = sum a e_i e_j gives
       w = sum a (p_i e_j + p_j e_i) and s = sum a p_i p_j.  The inverse
       flips the sign of the middle term only.
@@ -179,9 +145,8 @@ class Transvection:
 
     __slots__ = ("space", "direction")
 
-    def __init__(self, direction: Vector):
-        if not isinstance(direction, Vector):
-            raise TypeError("direction must be a Vector")
+    def __init__(self, direction: Multivector):
+        _check_vector(direction, "direction")
         if direction.is_zero():
             raise ValueError("transvection direction must be nonzero")
         self.space = direction.space
@@ -190,45 +155,39 @@ class Transvection:
     def __repr__(self):
         return f"Transvection({self.direction!r})"
 
-    def apply_vector(self, v: Vector, inverse: bool = False) -> Vector:
-        s = intersection(v, self.direction)
-        if not s:
-            return v
-        if inverse:
-            s = -s
-        return _vector(self.space, tuple(x + s * d for x, d in
-                                         zip(v.coords, self.direction.coords)))
-
     def apply(self, x, inverse: bool = False):
-        """Functorial action on Vector, Multivector or Sym2Element inputs."""
-        if isinstance(x, Vector):
-            return self.apply_vector(x, inverse)
+        """Functorial action on Multivector or Sym2Element inputs."""
         if not isinstance(x, (Multivector, Sym2Element)):
             raise TypeError(f"cannot apply a transvection to {type(x).__name__}")
-        _same_space(x, self.direction, Vector)
-        if isinstance(x, Multivector) and x.degree == 1:
-            return self.apply_vector(x.to_vector(), inverse).to_multivector()
         c, sign = self.direction, -1 if inverse else 1
-        p = [sign * e * c.coords[j] for j, e in self.space._duals]
+        _same_space(x, c, Multivector)
+        # p_i = e_i . c is nonzero only at i = dual(j) for a term c_j e_j of c,
+        # where it is -(e_j . e_i) c_j; the inverse negates it
+        p = {}
+        for (j,), cj in c.terms.items():
+            i, e = self.space._duals[j]
+            p[i] = cj if e * sign < 0 else -cj
         if isinstance(x, Multivector):
             contracted: dict = {}
             for key, a in x.terms.items():
                 _add_into(contracted, ((key[:n] + key[n + 1:], -a * p[i] if n % 2 else a * p[i])
-                                       for n, i in enumerate(key) if p[i]))
+                                       for n, i in enumerate(key) if i in p))
+            if x.degree == 1:  # i_c(x) is the scalar x . c, absent when it is 0
+                return x + contracted[()] * c if contracted else x
             return x + wedge(c, _multivector(self.space, x.degree - 1, contracted))
-        w = [Fraction(0)] * self.space.dim
+        w: dict = {}
         s = Fraction(0)
         for (i, j), a in x.terms.items():
-            w[i] += a * p[j]
-            w[j] += a * p[i]
-            s += a * p[i] * p[j]
-        return x + sym_product(c, _vector(self.space, tuple(w))) + s * sym_product(c, c)
+            pi, pj = p.get(i, 0), p.get(j, 0)
+            _add_into(w, (((i,), a * pj), ((j,), a * pi)))
+            s += a * pi * pj
+        return x + sym_product(c, _multivector(self.space, 1, w)) + s * sym_product(c, c)
 
     def matrix(self, inverse: bool = False) -> list[list[Fraction]]:
         """Matrix of the action on the space; entry [i][j] is coord i of T(e_j).
 
         No caller in the package; kept as a benchmark tracing target.
         """
-        cols = [self.apply_vector(self.space.basis_vector(j), inverse).coords
+        cols = [self.apply(self.space.basis_vector(j), inverse).terms
                 for j in range(self.space.dim)]
-        return [list(row) for row in zip(*cols)]
+        return [[col.get((i,), Fraction(0)) for col in cols] for i in range(self.space.dim)]

@@ -13,9 +13,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .exterior import (Multivector, SymplecticSpace, Vector,
+from .exterior import (Multivector, SymplecticSpace, _check_vector,
                        _over_common_denominator, delta, project_primitive,
                        wedge)
 from .forms import Transvection
@@ -47,30 +46,34 @@ class SubsurfaceSpec:
 
     __slots__ = ("space", "d", "pairs")
 
-    def __init__(self, d: Vector, pairs):
-        if not isinstance(d, Vector):
-            raise TypeError("boundary class must be a Vector")
+    def __init__(self, d: Multivector, pairs):
+        _check_vector(d, "boundary class")
         if d.is_zero():
             raise InvalidSubsurface("boundary class d must be nonzero")
         pairs = tuple((e, f) for e, f in pairs)
         duals = d.space._duals
 
         def scaled(v):
-            # (D, ints, J ints): x . y is (ints_x . J ints_y) / (D_x D_y)
-            den, ints = _over_common_denominator(v.coords)
-            return den, ints, [sign * ints[j] for j, sign in duals]
+            # (D, {i: n_i}, {dual(i): sign_i n_i}) for v = sum n_i e_i / D, so
+            # x . y is the sum of x[2][k] * y[1][k] over shared k, over D_x D_y
+            den, ints = _over_common_denominator(v.terms.values())
+            keys = [i for (i,) in v.terms]
+            return (den, dict(zip(keys, ints)),
+                    {duals[i][0]: duals[i][1] * n for i, n in zip(keys, ints)})
 
         vecs = [("d", scaled(d))]
         for n, (e, f) in enumerate(pairs, start=1):
             for v, name in ((e, f"e{n}"), (f, f"f{n}")):
-                if not isinstance(v, Vector) or v.space != d.space:
-                    raise InvalidSubsurface(f"{name} must be a Vector in the same space as d")
+                if not isinstance(v, Multivector) or v.degree != 1 or v.space != d.space:
+                    raise InvalidSubsurface(
+                        f"{name} must be a degree-1 Multivector in the same space as d")
                 vecs.append((name, scaled(v)))
         # d first, so its checks come before those among the pairs
         for i, (namex, x) in enumerate(vecs):
             for namey, y in vecs[i + 1:]:
                 want = 1 if (namex[0], namey[0]) == ("e", "f") and namex[1:] == namey[1:] else 0
-                val, den = sum(map(mul, x[1], y[2])), x[0] * y[0]
+                get = y[1].get
+                val, den = sum(n * get(k, 0) for k, n in x[2].items()), x[0] * y[0]
                 if val != want * den:
                     raise InvalidSubsurface(
                         f"{namex} . {namey} = {Fraction(val, den)}, expected {want}")
@@ -173,7 +176,7 @@ def johnson_bp(b: BoundingPairSpec) -> Multivector:
 
 
 def _fixes_every_basis_vector(space: SymplecticSpace, f) -> bool:
-    """Whether the map f on the space's Vectors sends each basis vector to itself."""
+    """Whether the map f on degree-1 elements sends each basis vector to itself."""
     return all(f(e) == e for e in map(space.basis_vector, range(space.dim)))
 
 
@@ -185,7 +188,7 @@ def bounding_pair_trivial_on_homology(b: BoundingPairSpec) -> bool:
     """
     t, t_prime = Transvection(b.side1.d), Transvection(b.side2.d)
     return _fixes_every_basis_vector(
-        b.space, lambda e: t.apply_vector(t_prime.apply_vector(e, inverse=True)))
+        b.space, lambda e: t.apply(t_prime.apply(e, inverse=True)))
 
 
 def canonical_split(space: SymplecticSpace, handles: Sequence[int],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Multivector, Sym2Element, SymplecticSpace, Vector
+from .exterior import Multivector, Sym2Element, SymplecticSpace
 
 SYM_SEPARATOR = "·"  # middle dot
 
@@ -54,10 +54,6 @@ def render_multivector(x: Multivector) -> str:
     return _render_terms(pieces)
 
 
-def render_vector(v: Vector) -> str:
-    return render_multivector(v.to_multivector())
-
-
 def render_sym2(s: Sym2Element) -> str:
     label = s.space.label
     pieces = [(f"{label(i)}{SYM_SEPARATOR}{label(j)}", c)
@@ -66,9 +62,7 @@ def render_sym2(s: Sym2Element) -> str:
 
 
 def render_canonical(x) -> str:
-    """Canonical text for Vector, Multivector, Sym2Element or a rational."""
-    if isinstance(x, Vector):
-        return render_vector(x)
+    """Canonical text for Multivector, Sym2Element or a rational."""
     if isinstance(x, Multivector):
         return render_multivector(x)
     if isinstance(x, Sym2Element):
@@ -148,13 +142,6 @@ def _wedge_degree(degree: int) -> int:
     if degree not in (1, 2, 3):
         raise ParseError(f"degree must be 1, 2 or 3, got {degree}")
     return degree
-
-
-def parse_vector(space: SymplecticSpace, text: str) -> Vector:
-    text = text.strip()
-    if text == "0":
-        return space.zero_vector()
-    return parse_multivector(space, text, degree=1).to_vector()
 
 
 def parse_sym2(space: SymplecticSpace, text: str) -> Sym2Element:

@@ -13,6 +13,11 @@ from fractions import Fraction
 from torelli import Multivector, Sym2Element, SymplecticSpace, Vector
 
 
+def dense_coords(v: Multivector) -> list[Fraction]:
+    """The dense coordinates of a degree-1 element, read straight off its terms."""
+    return [v.terms.get((i,), Fraction(0)) for i in range(v.space.dim)]
+
+
 def dense_pairing_matrix(space: SymplecticSpace) -> list[list[Fraction]]:
     g = space.genus
     j = [[Fraction(0)] * space.dim for _ in range(space.dim)]
@@ -36,7 +41,7 @@ def dense_three_form(x: Multivector) -> dict[tuple[int, int, int], Fraction]:
     return dense
 
 
-def oracle_contraction3(x: Multivector) -> Vector:
+def oracle_contraction3(x: Multivector) -> Multivector:
     """Contraction via the dense array: c_r = (1/2) sum_pq J[p][q] A[p,q,r]."""
     j = dense_pairing_matrix(x.space)
     dense = dense_three_form(x)
@@ -47,13 +52,14 @@ def oracle_contraction3(x: Multivector) -> Vector:
     return Vector(x.space, coords)
 
 
-def oracle_vector_wedge(*vectors: Vector) -> Multivector:
+def oracle_vector_wedge(*vectors: Multivector) -> Multivector:
     """Wedge of k vectors via coordinate determinants, k in {2, 3}."""
     space = vectors[0].space
     k = len(vectors)
+    coords = [dense_coords(v) for v in vectors]
     terms = {}
     for key in itertools.combinations(range(space.dim), k):
-        mat = [[v.coords[i] for i in key] for v in vectors]
+        mat = [[v[i] for i in key] for v in coords]
         if k == 2:
             det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
         else:
@@ -65,7 +71,7 @@ def oracle_vector_wedge(*vectors: Vector) -> Multivector:
     return Multivector(space, k, terms)
 
 
-def oracle_transvection(c: Vector, x, inverse: bool = False):
+def oracle_transvection(c: Multivector, x, inverse: bool = False):
     """The image of a form or Sym^2 element under v -> v + (v . c) c, term by term.
 
     Each basis vector goes to e_i + (e_i . c) c, or e_i - (e_i . c) c for
@@ -76,10 +82,11 @@ def oracle_transvection(c: Vector, x, inverse: bool = False):
     space = c.space
     j = dense_pairing_matrix(space)
     sign = -1 if inverse else 1
+    cs = dense_coords(c)
     images = []
     for i in range(space.dim):
-        p = sign * sum((j[i][q] * c.coords[q] for q in range(space.dim)), Fraction(0))
-        images.append([Fraction(int(r == i)) + p * cr for r, cr in enumerate(c.coords)])
+        p = sign * sum((j[i][q] * cs[q] for q in range(space.dim)), Fraction(0))
+        images.append([Fraction(int(r == i)) + p * cr for r, cr in enumerate(cs)])
     terms: dict = {}
     for key, a in x.terms.items():
         if isinstance(x, Sym2Element):
@@ -100,7 +107,7 @@ def oracle_transvection(c: Vector, x, inverse: bool = False):
     return Multivector(space, x.degree, terms)
 
 
-def oracle_transvection_matrix(c: Vector, inverse: bool = False) -> list[list[Fraction]]:
+def oracle_transvection_matrix(c: Multivector, inverse: bool = False) -> list[list[Fraction]]:
     """Dense matrix of v -> v + (v . c) c (or v - (v . c) c), column j the image of e_j.
 
     Entry [r][j] is delta_rj + p_j c_r with p_j = +-(e_j . c), the pairing
@@ -109,10 +116,11 @@ def oracle_transvection_matrix(c: Vector, inverse: bool = False) -> list[list[Fr
     space = c.space
     j = dense_pairing_matrix(space)
     sign = -1 if inverse else 1
-    p = [sign * sum((j[i][q] * c.coords[q] for q in range(space.dim)), Fraction(0))
+    cs = dense_coords(c)
+    p = [sign * sum((j[i][q] * cs[q] for q in range(space.dim)), Fraction(0))
          for i in range(space.dim)]
     return [[Fraction(int(r == i)) + p[i] * cr for i in range(space.dim)]
-            for r, cr in enumerate(c.coords)]
+            for r, cr in enumerate(cs)]
 
 
 def dense_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -140,17 +148,19 @@ def oracle_omega3(s: Multivector, t: Multivector) -> Fraction:
     return total
 
 
-def oracle_q2_vectors(x1: Vector, x2: Vector, y1: Vector, y2: Vector) -> Fraction:
+def oracle_q2_vectors(x1: Multivector, x2: Multivector,
+                      y1: Multivector, y2: Multivector) -> Fraction:
     def pair(u, v):
         j = dense_pairing_matrix(u.space)
-        return sum((u.coords[p] * v.coords[q] * j[p][q]
+        us, vs = dense_coords(u), dense_coords(v)
+        return sum((us[p] * vs[q] * j[p][q]
                     for p in range(u.space.dim) for q in range(u.space.dim)),
                    Fraction(0))
     return pair(x1, y1) * pair(x2, y2) - pair(x1, y2) * pair(x2, y1)
 
 
-def oracle_phi_decomposables(us: tuple[Vector, Vector, Vector],
-                             vs: tuple[Vector, Vector, Vector]):
+def oracle_phi_decomposables(us: tuple[Multivector, Multivector, Multivector],
+                             vs: tuple[Multivector, Multivector, Multivector]):
     """The literal double cyclic sum on two decomposables.
 
     Returns a dict over sorted index pairs, comparable with
@@ -165,10 +175,10 @@ def oracle_phi_decomposables(us: tuple[Vector, Vector, Vector],
             if not qf:
                 continue
             left, right = us[(i + 2) % 3], vs[(j + 2) % 3]
-            for p, xp in enumerate(left.coords):
+            for p, xp in enumerate(dense_coords(left)):
                 if not xp:
                     continue
-                for q, yq in enumerate(right.coords):
+                for q, yq in enumerate(dense_coords(right)):
                     if not yq:
                         continue
                     key = (p, q) if p <= q else (q, p)

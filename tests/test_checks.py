@@ -13,9 +13,9 @@ from torelli.checks import (random_bounding_pair, random_multivector,
                             random_primitive, random_primitive_integral_vector,
                             random_sym2, random_transvection, random_vector,
                             respecify, run_invariant_checks)
-from torelli.exterior import Multivector, Sym2Element, Vector
+from torelli.exterior import Multivector, Sym2Element
 from torelli.h3model import GradedH3Element
-from torelli.render import render_vector
+from torelli.render import render_multivector
 
 EXPECTED_CHECKS = (
     "action-unipotent",
@@ -76,7 +76,7 @@ class TestSamplers:
             assert random_vector(sp, rng).space == sp
             v = random_primitive_integral_vector(sp, rng)
             assert not v.is_zero()
-            assert gcd(*(int(c) for c in v.coords)) == 1
+            assert gcd(*(int(c) for c in v.terms.values())) == 1
 
     def test_primitive_sampler(self):
         sp = SymplecticSpace(3)
@@ -140,10 +140,11 @@ class TestSamplers:
         for (g, seed), (d, pairs1, pairs2, after) in golden.items():
             rng = random.Random(seed)
             b = random_bounding_pair(SymplecticSpace(g), rng)
-            assert render_vector(b.side1.d) == d
+            assert render_multivector(b.side1.d) == d
             assert (b.side1.d + b.side2.d).is_zero()
             for side, want in ((b.side1, pairs1), (b.side2, pairs2)):
-                assert [(render_vector(e), render_vector(f)) for e, f in side.pairs] == want
+                assert [(render_multivector(e), render_multivector(f))
+                        for e, f in side.pairs] == want
             assert rng.random() == after
 
     def test_respecify_keeps_boundary_up_to_swap(self):
@@ -228,10 +229,12 @@ def plant_forms(monkeypatch):
 
 
 def plant_transvection(monkeypatch):
-    """Transvection.apply_vector ignores `inverse`."""
-    real = forms.Transvection.apply_vector
-    monkeypatch.setattr(forms.Transvection, "apply_vector",
-                        lambda self, v, inverse=False: real(self, v))
+    """Transvection.apply ignores `inverse` on degree-1 elements."""
+    real = forms.Transvection.apply
+
+    def apply(self, x, inverse=False):
+        return real(self, x, inverse and not (isinstance(x, Multivector) and x.degree == 1))
+    monkeypatch.setattr(forms.Transvection, "apply", apply)
 
 
 def plant_transvection_sym2(monkeypatch):
@@ -253,7 +256,7 @@ def plant_transvection_3form(monkeypatch):
         if y.degree != 2:
             return real(c, y)
         g = c.space.genus
-        return real(Vector(c.space, c.coords[:g] + (0,) * g), y)
+        return real(Multivector(c.space, 1, {k: a for k, a in c.terms.items() if k[0] < g}), y)
     monkeypatch.setattr(forms, "wedge", wedge)
 
 

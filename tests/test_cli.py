@@ -112,9 +112,14 @@ class TestExitCodes:
         ("genus = 3\n[multivector m]\nexpr = a1^b1^a2^b2\n",
          "line 3: degree must be 1, 2 or 3, got 4"),
         ("genus = 3\n[multivector m]\ndegree = 4\nexpr = 0\n",
-         "line 4: degree must be 1, 2 or 3, got 4"),
+         "line 3: degree must be 1, 2 or 3, got 4"),
+        ("genus = 3\n[multivector m]\ndegree = 4\ncoeffs = 1\n",
+         "line 3: degree must be 1, 2 or 3, got 4"),
+        ("genus = 3\n[multivector m]\ndegree = 4\nexpr = a1\n",
+         "line 3: degree must be 1, 2 or 3, got 4"),
     ], ids=["unknown-args-key", "duplicate-args-key", "exponent-rational",
-            "expr-degree-four", "zero-expr-degree-four"])
+            "expr-degree-four", "zero-expr-degree-four", "coeffs-degree-four",
+            "expr-a1-degree-four"])
     def test_config_line_errors_are_two(self, capsys, tmp_path, text, message):
         path = tmp_path / "job.cfg"
         path.write_text(text)

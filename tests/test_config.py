@@ -295,7 +295,7 @@ class TestRationals:
         cfg = parse_config("genus = 2\nkappa1 = 0.5\nkappa2 = -3/4\n"
                            "[vector u]\ncoeffs = 0.25 7 0 0\n[vector w]\nexpr = 1.5 a1\n")
         assert (cfg.kappa1, cfg.kappa2) == (Fraction(1, 2), Fraction(-3, 4))
-        assert cfg.vectors["u"].coords == (Fraction(1, 4), Fraction(7), 0, 0)
+        assert cfg.vectors["u"].terms == {(0,): Fraction(1, 4), (1,): Fraction(7)}
         assert cfg.vectors["w"] == Fraction(3, 2) * cfg.space.a(1)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_pairing_matrix, oracle_contraction3,
+from conftest import (dense_coords, dense_pairing_matrix, oracle_contraction3,
                       oracle_vector_wedge)
 from torelli import (Multivector, Sym2Element, SymplecticSpace, Vector,
                      contraction3, delta, intersection, is_primitive,
@@ -116,6 +116,14 @@ class TestIntersection:
         assert intersection(sp.a(1), sp.b(2)) == 0
         assert intersection(sp.a(2), sp.a(3)) == 0
 
+    def test_degree_one_only(self):
+        sp = SymplecticSpace(3)
+        for u, v in ((delta(sp), sp.a(1)), (sp.a(1), delta(sp))):
+            with pytest.raises(TypeError, match="must be a degree-1 Multivector"):
+                intersection(u, v)
+            with pytest.raises(TypeError, match="must be a degree-1 Multivector"):
+                sym_product(u, v)
+
     @given(vectors(), vectors())
     @settings(max_examples=40, deadline=None)
     def test_antisymmetric(self, u, v):
@@ -130,8 +138,8 @@ class TestIntersection:
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_pairing_matrix(self, u, v):
         j = dense_pairing_matrix(u.space)
-        want = sum(x * j[i][k] * y for i, x in enumerate(u.coords)
-                   for k, y in enumerate(v.coords))
+        want = sum(x * j[i][k] * y for i, x in enumerate(dense_coords(u))
+                   for k, y in enumerate(dense_coords(v)))
         got = intersection(u, v)
         assert got == want and isinstance(got, Fraction)
 
@@ -185,13 +193,20 @@ class TestNormalForm:
             Sym2Element(SymplecticSpace(2), {(-1, 2): 1})
 
     def test_vector_multivector_round_trip(self):
+        """Vector(space, coords) is the degree-1 Multivector with those coordinates."""
         sp = SymplecticSpace(3)
         rng = random.Random(1)
         for _ in range(10):
             v = rand_vector(sp, rng)
-            assert v.to_multivector().to_vector() == v
-        with pytest.raises(ValueError):
-            rand_mv(sp, 2, rng).to_vector()
+            assert type(v) is Multivector and v.degree == 1
+            assert Vector(sp, dense_coords(v)) == v
+            x = rand_mv(sp, 1, rng)
+            assert Vector(sp, dense_coords(x)) == x
+        assert Vector(sp, [0, "1/2", 0, 0, 0, -3]).terms == {(1,): Fraction(1, 2),
+                                                            (5,): Fraction(-3)}
+        assert Vector(sp, [0] * 6) == Multivector.zero(sp, 1)
+        with pytest.raises(ValueError, match="expected 6 coordinates, got 4"):
+            Vector(sp, [1, 0, 0, 0])
 
     def test_space_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -276,7 +291,7 @@ class TestWedgeOracleHigherGenus:
             for _ in range(6):
                 u = rand_vector(sp, rng)
                 ratio = Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(2, 7))
-                coords = [ratio * c for c in u.coords]
+                coords = [ratio * c for c in dense_coords(u)]
                 for i in rng.sample(range(sp.dim), 2):
                     coords[i] += Fraction(rng.randint(1, 4), rng.randint(1, 5))
                 v = Vector(sp, coords)
@@ -305,8 +320,7 @@ class TestWedgeOracleHigherGenus:
                     two = two + c * oracle_vector_wedge(v, w)
                     left = left + c * oracle_vector_wedge(u, v, w)
                     right = right + c * oracle_vector_wedge(v, w, u)
-                for got, want in ((wedge(u, two), left), (wedge(two, u), right),
-                                  (wedge(u.to_multivector(), two), left)):
+                for got, want in ((wedge(u, two), left), (wedge(two, u), right)):
                     assert got == want
                     self.assert_stored_exactly(got)
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (dense_identity, oracle_omega3, oracle_phi_decomposables,
+from conftest import (dense_coords, dense_identity, oracle_omega3,
+                      oracle_phi_decomposables,
                       oracle_q2_vectors, oracle_transvection,
                       oracle_transvection_matrix)
 from test_exterior import rand_mv, rand_vector
@@ -92,7 +93,7 @@ class TestQ2:
     def test_degree_guard(self):
         sp = SymplecticSpace(2)
         with pytest.raises(ValueError):
-            q2(delta(sp), sp.a(1).to_multivector())
+            q2(delta(sp), sp.a(1))
 
 
 class TestOmega3:
@@ -295,15 +296,23 @@ class TestTransvection:
         sp = SymplecticSpace(2)
         t = Transvection(sp.a(1))
         # v -> v + <v, c> c and <b1, a1> = -1
-        assert t.apply_vector(sp.b(1)) == sp.b(1) - sp.a(1)
-        assert t.apply_vector(sp.a(1)) == sp.a(1)
-        assert t.apply_vector(sp.a(2)) == sp.a(2)
-        assert t.apply_vector(t.apply_vector(sp.b(1)), inverse=True) == sp.b(1)
+        assert t.apply(sp.b(1)) == sp.b(1) - sp.a(1)
+        assert t.apply(sp.a(1)) == sp.a(1)
+        assert t.apply(sp.a(2)) == sp.a(2)
+        assert t.apply(t.apply(sp.b(1)), inverse=True) == sp.b(1)
 
     def test_zero_direction_rejected(self):
         sp = SymplecticSpace(2)
         with pytest.raises(ValueError):
-            Transvection(sp.zero_vector())
+            Transvection(Multivector.zero(sp, 1))
+
+    def test_direction_must_be_degree_one(self):
+        sp = SymplecticSpace(3)
+        c = Multivector(sp, 1, {(0,): 2, (4,): Fraction(-1, 3)})
+        assert Transvection(c).direction is c
+        for bad in (wedge(sp.a(1), sp.b(2)), delta(sp), [1, 0, 0, 0, 0, 0]):
+            with pytest.raises(TypeError, match="^direction must be a degree-1 Multivector$"):
+                Transvection(bad)
 
     def test_preserves_intersection(self):
         sp = SymplecticSpace(3)
@@ -311,7 +320,7 @@ class TestTransvection:
         for _ in range(20):
             t = Transvection(rand_vector(sp, rng) + sp.a(1))
             u, v = rand_vector(sp, rng), rand_vector(sp, rng)
-            assert intersection(t.apply_vector(u), t.apply_vector(v)) == intersection(u, v)
+            assert intersection(t.apply(u), t.apply(v)) == intersection(u, v)
 
     def test_matrix_matches_apply(self):
         sp = SymplecticSpace(2)
@@ -320,8 +329,8 @@ class TestTransvection:
             t = Transvection(sp.b(2) + rand_vector(sp, rng))
             m = t.matrix()
             for j in range(sp.dim):
-                image = t.apply_vector(sp.basis_vector(j))
-                assert [m[i][j] for i in range(sp.dim)] == list(image.coords)
+                image = t.apply(sp.basis_vector(j))
+                assert [m[i][j] for i in range(sp.dim)] == dense_coords(image)
             assert m == oracle_transvection_matrix(t.direction)
             assert mat_mul(m, t.matrix(inverse=True)) == dense_identity(sp.dim)
 

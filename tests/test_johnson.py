@@ -9,7 +9,8 @@ import pytest
 
 from conftest import dense_identity, dense_product, oracle_transvection_matrix
 from torelli import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
-                     JohnsonIdentityError, SubsurfaceSpec, SymplecticSpace,
+                     JohnsonIdentityError, Multivector, SubsurfaceSpec,
+                     SymplecticSpace,
                      Transvection, bounding_pair_trivial_on_homology,
                      builtin_fixture, canonical_split, contraction3, delta,
                      is_primitive, johnson_bp, johnson_element, johnson_pair,
@@ -44,7 +45,17 @@ class TestSubsurfaceSpec:
     def test_zero_boundary_rejected(self):
         sp = SymplecticSpace(2)
         with pytest.raises(InvalidSubsurface, match="nonzero"):
-            SubsurfaceSpec(sp.zero_vector(), [])
+            SubsurfaceSpec(Multivector.zero(sp, 1), [])
+
+    def test_boundary_and_pairs_must_be_degree_one(self):
+        sp = SymplecticSpace(3)
+        d = Multivector(sp, 1, {(0,): Fraction(1, 2)})
+        assert SubsurfaceSpec(d, [(sp.a(2), sp.b(2))]).d is d
+        for bad in (wedge(sp.a(1), sp.a(2)), delta(sp)):
+            with pytest.raises(TypeError, match="^boundary class must be a degree-1 Multivector$"):
+                SubsurfaceSpec(bad, [])
+            with pytest.raises(InvalidSubsurface, match="^f1 must be a degree-1 Multivector"):
+                SubsurfaceSpec(sp.a(1), [(sp.a(2), bad)])
 
     def test_boundary_must_be_orthogonal_to_pairs(self):
         sp = SymplecticSpace(2)
@@ -238,7 +249,7 @@ class TestTrivialOnHomology:
             for v in (u, -u, random_vector(sp, rng, denominators=True) + sp.b(1)):
                 t, t_inv = Transvection(u), Transvection(v)
                 fixed = _fixes_every_basis_vector(
-                    sp, lambda e: t.apply_vector(t_inv.apply_vector(e, inverse=True)))
+                    sp, lambda e: t.apply(t_inv.apply(e, inverse=True)))
                 assert fixed is (composite_matrix(u, v) == dense_identity(sp.dim))
                 seen.add(fixed)
         assert seen == {True, False}
@@ -251,7 +262,7 @@ class TestTrivialOnHomology:
             t = Transvection(c)
             for inverse in (False, True):
                 assert _fixes_every_basis_vector(
-                    sp, lambda e: t.apply_vector(e, inverse)) is False
+                    sp, lambda e: t.apply(e, inverse)) is False
 
 
 class TestFixtures:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from test_exterior import rand_mv, rand_vector
 from test_h3model import rand_sym2
 from torelli import (Multivector, ParseError, SymplecticSpace, parse_multivector,
-                     parse_rational, parse_sym2, parse_vector, render_canonical,
+                     parse_rational, parse_sym2, render_canonical,
                      render_multivector, render_rational, render_sym2,
-                     render_vector, sym_product, wedge)
+                     sym_product, wedge)
 
 
 class TestRender:
@@ -35,12 +35,12 @@ class TestRender:
         sp = SymplecticSpace(3)
         assert render_multivector(wedge(sp.a(1), sp.b(2))) == "a1^b2"
         assert render_multivector(-1 * wedge(sp.a(1), sp.b(2))) == "-a1^b2"
-        assert render_vector(2 * sp.a(1) - sp.b(3)) == "2 a1 - b3"
+        assert render_multivector(2 * sp.a(1) - sp.b(3)) == "2 a1 - b3"
 
     def test_zero_renders_as_0(self):
         sp = SymplecticSpace(2)
         assert render_multivector(Multivector.zero(sp, 3)) == "0"
-        assert render_vector(sp.zero_vector()) == "0"
+        assert render_multivector(Multivector.zero(sp, 1)) == "0"
 
     def test_terms_in_lexicographic_order(self):
         sp = SymplecticSpace(3)
@@ -99,7 +99,7 @@ class TestParse:
         assert parse_multivector(sp, "0", degree=3).is_zero()
         with pytest.raises(ParseError, match="degree"):
             parse_multivector(sp, "0")
-        assert parse_vector(sp, "0").is_zero()
+        assert parse_multivector(sp, "0", 1) == Multivector.zero(sp, 1)
 
     def test_degree_four_is_a_parse_error(self):
         sp = SymplecticSpace(3)
@@ -139,7 +139,7 @@ class TestParse:
 
     def test_whitespace_tolerated(self):
         sp = SymplecticSpace(2)
-        assert parse_vector(sp, "  2 a1   -  b2 ") == 2 * sp.a(1) - sp.b(2)
+        assert parse_multivector(sp, "  2 a1   -  b2 ", 1) == 2 * sp.a(1) - sp.b(2)
 
 
 class TestRoundTrip:
@@ -158,7 +158,7 @@ class TestRoundTrip:
             sp = SymplecticSpace(g)
             for _ in range(25):
                 v = rand_vector(sp, rng)
-                assert parse_vector(sp, render_vector(v)) == v
+                assert parse_multivector(sp, render_multivector(v), 1) == v
 
     def test_sym2(self):
         rng = random.Random(62)
@@ -190,8 +190,8 @@ class TestFuzz:
     def test_parsers_return_or_raise_parse_error(self, text):
         """Every parser either returns or raises ParseError, never another error."""
         sp = SymplecticSpace(3)
-        parsers = [parse_rational, lambda t: parse_vector(sp, t),
-                   lambda t: parse_multivector(sp, t), lambda t: parse_sym2(sp, t)]
+        parsers = [parse_rational, lambda t: parse_multivector(sp, t),
+                   lambda t: parse_sym2(sp, t)]
         parsers += [lambda t, k=k: parse_multivector(sp, t, k) for k in (0, 1, 2, 3, 4)]
         for parse in parsers:
             try:
