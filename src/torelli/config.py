@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .exterior import Multivector, SymplecticSpace
+from .exterior import Multivector, SymplecticSpace, _check_degree_range
 from .h3model import DEFAULT_KAPPA2, TorelliParams
 from .johnson import (BoundingPairSpec, InvalidBoundingPair, InvalidSubsurface,
                       SubsurfaceSpec, builtin_fixture)
@@ -196,8 +196,10 @@ def _build_multivector(cfg, name, items, lineno, kind="multivector"):
     if "degree" in keys:
         value, ln = keys["degree"][0]
         degree = _parse_int(value, ln, "degree")
-        if degree not in (1, 2, 3):
-            raise ConfigError(f"degree must be 1, 2 or 3, got {degree}", ln)
+        try:
+            _check_degree_range(degree)
+        except ValueError as exc:
+            raise ConfigError(str(exc), ln) from None
     if ("coeffs" in keys) == ("expr" in keys):
         raise ConfigError(f"{kind} {name!r} needs exactly one of coeffs/expr", lineno)
     if "coeffs" in keys:

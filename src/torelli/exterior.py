@@ -142,16 +142,25 @@ class _Sparse:
         return not self.terms
 
 
+def _check_degree_range(degree) -> int:
+    """Return a multivector degree, refusing any outside 1..3 with ValueError.
+
+    The one copy of that range check; the parsers re-raise its message as
+    their own error types.
+    """
+    if degree not in (1, 2, 3):
+        raise ValueError(f"degree must be 1, 2 or 3, got {degree}")
+    return degree
+
+
 class Multivector(_Sparse):
     """Sparse element of the degree-k exterior power, k in {1, 2, 3}."""
 
     __slots__ = ("degree",)
 
     def __init__(self, space: SymplecticSpace, degree: int, terms=None):
-        if degree not in (1, 2, 3):
-            raise ValueError(f"degree must be 1, 2 or 3, got {degree}")
         self.space = space
-        self.degree = degree
+        self.degree = _check_degree_range(degree)
         self.terms = _add_into({}, _normal_wedge_terms(space, degree, terms or {}))
 
     @classmethod
@@ -248,8 +257,11 @@ def _add_into(out: dict, items) -> dict:
     """Add (key, coefficient) pairs with normalized keys into out, in place.
 
     A coefficient that cancels drops its key, so a dict in normal form
-    stays in normal form.  This is the one Fraction merge loop of the sparse
-    classes; wedge sums Python ints over a common denominator instead.
+    stays in normal form.  This is the one Fraction merge loop, used by the
+    constructors and by addition.  The product kernels (wedge,
+    sym_product, contraction3, split_primitive, the determinant pairings,
+    and in forms phi, omega3_gram_rows and Transvection.apply) sum Python
+    ints over a common denominator instead and finish with _over_ints.
     """
     for key, c in items:
         old = out.get(key)
@@ -260,6 +272,13 @@ def _add_into(out: dict, items) -> dict:
         elif old is not None:
             del out[key]
     return out
+
+
+def _over_ints(acc: dict, den: int) -> dict:
+    """The normal-form terms acc / den: one Fraction per nonzero int of acc."""
+    if den == 1:
+        return {k: Fraction(n) for k, n in acc.items() if n}
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
 
 
 def _multivector(space: SymplecticSpace, degree: int, terms: dict) -> Multivector:
@@ -353,20 +372,22 @@ def _pair_dual_keys(x: Multivector, y: Multivector) -> Fraction:
     """The determinant pairing of two same-degree forms: one lookup per term of x.
 
     Degree one is the intersection pairing, degree two q2, degree three omega3.
+    Only the matched coefficients are scaled to ints, and the one Fraction
+    is the sum of their signed products over the two common denominators.
     """
     space = x.space
     get = y.terms.get
-    total = Fraction(0)
+    signs, left, right = [], [], []
     for key, c in x.terms.items():
         sign, dual = _dual_key(space, key)
         d = get(dual)
-        if d is None:
-            continue
-        if sign > 0:
-            total += c * d
-        else:
-            total -= c * d
-    return total
+        if d is not None:
+            signs.append(sign)
+            left.append(c)
+            right.append(d)
+    dl, nl = _over_common_denominator(left)
+    dr, nr = _over_common_denominator(right)
+    return Fraction(sum(e * m * n for e, m, n in zip(signs, nl, nr)), dl * dr)
 
 
 def sym_product(u: Multivector, v: Multivector) -> Sym2Element:
@@ -374,9 +395,15 @@ def sym_product(u: Multivector, v: Multivector) -> Sym2Element:
     _check_vector(u, "u")
     _check_vector(v, "v")
     _same_space(u, v, Multivector)
-    products = (((i, j) if i <= j else (j, i), x * y)
-                for (i,), x in u.terms.items() for (j,), y in v.terms.items())
-    return _sym2(u.space, _add_into({}, products))
+    du, nu = _over_common_denominator(u.terms.values())
+    dv, nv = _over_common_denominator(v.terms.values())
+    vs = [(j, n) for ((j,), n) in zip(v.terms, nv)]
+    acc: dict = {}
+    for (i,), m in zip(u.terms, nu):
+        for j, n in vs:
+            key = (i, j) if i <= j else (j, i)
+            acc[key] = acc.get(key, 0) + m * n
+    return _sym2(u.space, _over_ints(acc, du * dv))
 
 
 def delta(space: SymplecticSpace) -> Multivector:
@@ -414,10 +441,7 @@ def wedge(x, y, *more) -> Multivector:
                 continue
             key, sign = merged
             acc[key] = acc.get(key, 0) + (c * d if sign > 0 else -c * d)
-    den = dx * dy
-    if den == 1:
-        return _multivector(x.space, degree, {k: Fraction(n) for k, n in acc.items() if n})
-    return _multivector(x.space, degree, {k: Fraction(n, den) for k, n in acc.items() if n})
+    return _multivector(x.space, degree, _over_ints(acc, dx * dy))
 
 
 def _over_common_denominator(coeffs) -> tuple[int, list[int]]:
@@ -473,27 +497,59 @@ def contraction3(x: Multivector) -> Multivector:
     if not isinstance(x, Multivector) or x.degree != 3:
         raise ValueError("contraction3 expects a degree-3 multivector")
     space = x.space
-    coords = [Fraction(0)] * space.dim
+    den, ints = _over_common_denominator(x.terms.values())
     duals = space._duals
-    for (i, j, k), c in x.terms.items():
+    acc: dict = {}
+    for (i, j, k), n in zip(x.terms, ints):
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             dual, sign = duals[p]
             if dual == q:
-                coords[r] += c if sign > 0 else -c
-    return _multivector(space, 1, {(i,): c for i, c in enumerate(coords) if c})
+                acc[(r,)] = acc.get((r,), 0) + (n if sign > 0 else -n)
+    return _multivector(space, 1, _over_ints(acc, den))
 
 
 def split_primitive(x: Multivector) -> tuple[Multivector, Multivector, Multivector]:
     """The splitting x = p + delta ^ w of a 3-form, as (p, w, delta ^ w).
 
     p is primitive and w = contraction3(x) / (g-1); the constant is forced
-    by contraction3(delta ^ v) = (g-1) v.  One contraction, one wedge.
+    by contraction3(delta ^ v) = (g-1) v.  A coordinate w_k gives delta ^ w
+    the terms w_k a_i ^ b_i ^ e_k, one for each handle i other than e_k's,
+    and no two of them share a key.  So one pass over the contraction's
+    coordinates, as ints over (g-1) D with D the common denominator of x,
+    builds w, delta ^ w and the keys of p that delta ^ w touches; every
+    other term of p is the term of x.
     """
-    w = Fraction(1, x.space.genus - 1) * contraction3(x)
-    if w.is_zero():
-        return x, w, _multivector(x.space, 3, {})
-    dw = wedge(delta(x.space), w)
-    return x - dw, w, dw
+    space = x.space
+    g = space.genus
+    con = contraction3(x)
+    if con.is_zero():
+        return x, con, _multivector(space, 3, {})
+    dx = _over_common_denominator(x.terms.values())[0]
+    den = (g - 1) * dx
+    get = x.terms.get
+    p, w, dw = dict(x.terms), {}, {}
+    for (k,), c in con.terms.items():
+        n = c.numerator * (dx // c.denominator)  # c = n / dx: c sums terms of x
+        wk = w[(k,)] = Fraction(n, den)
+        minus_wk = -wk
+        for i in range(g):
+            if k == i or k == g + i:
+                continue
+            if k < i:
+                key, m, dwk = (k, i, g + i), n, wk
+            elif k < g + i:
+                key, m, dwk = (i, k, g + i), -n, minus_wk
+            else:
+                key, m, dwk = (i, g + i, k), n, wk
+            dw[key] = dwk
+            old = get(key)
+            rest = -m if old is None else old.numerator * (den // old.denominator) - m
+            if rest:
+                p[key] = Fraction(rest, den)
+            else:
+                del p[key]
+    return (_multivector(space, 3, p), _multivector(space, 1, w),
+            _multivector(space, 3, dw))
 
 
 def project_primitive(x: Multivector) -> Multivector:

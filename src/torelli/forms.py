@@ -11,6 +11,9 @@ cost one dict lookup per term of the left form: its key's dual
 (exterior._pair_dual_keys, whose degree-one case is intersection).  phi
 indexes the right form once by ordered slot pair and then costs
 3·|s| lookups, one per cyclic slot pair of each term of the left form.
+No kernel here multiplies or adds a Fraction per term pair: each scales
+its inputs once to Python ints over their common denominators, sums int
+products, and builds one Fraction per nonzero output key.
 
 The transvection T(v) = v + (v . c) c acts in closed form, with no basis
 images.  On a k-form, T(x) = x + c ^ i_c(x), where i_c is the derivation
@@ -18,17 +21,17 @@ with i_c(v) = v . c; the inverse is x - c ^ i_c(x).  On Sym^2, with
 p_i = e_i . c, T(x) = x + c.w + s c^2 for the vector
 w = sum a (p_i e_j + p_j e_i) and the scalar s = sum a p_i p_j over the
 terms a e_i e_j of x; the inverse is x - c.w + s c^2.  So one apply costs
-one contraction pass and one wedge (a scalar multiple of c on a 1-form),
-or one pass and two symmetric products.
+one integer contraction pass and one wedge (a scalar multiple of c on a
+1-form), or one pass and two symmetric products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import (Multivector, Sym2Element, _add_into, _check_vector,
-                       _dual_key, _multivector, _pair_dual_keys, _same_space,
-                       _sym2, sym_product, wedge)
+from .exterior import (Multivector, Sym2Element, _check_vector, _dual_key,
+                       _multivector, _over_common_denominator, _over_ints,
+                       _pair_dual_keys, _same_space, _sym2, sym_product, wedge)
 
 
 def _check_degree(x, degree: int, name: str):
@@ -60,24 +63,29 @@ def q2(x: Multivector, y: Multivector) -> Fraction:
 def omega3_gram_rows(basis: list[Multivector]) -> list[dict[int, Fraction]]:
     """The Gram matrix omega3(x_i, x_j) of a list of 3-forms, as sparse rows {j: entry}.
 
-    The list is indexed once by key, {key: [(j, coefficient)]}; row i then
-    costs one lookup per term of x_i, at the dual key of that term.
+    Each x_j is scaled once to ints n over its common denominator D_j and
+    the list is indexed by key, {key: [(j, n)]}; row i then costs one
+    lookup per term of x_i, at the dual key of that term, and entry j is
+    its int sum over D_i D_j.
     """
     for x in basis:
         _check_degree(x, 3, "omega3")
         _same_space(basis[0], x, Multivector)
+    scaled = [_over_common_denominator(y.terms.values()) for y in basis]
     index: dict[tuple[int, ...], list] = {}
-    for j, y in enumerate(basis):
-        for key, d in y.terms.items():
-            index.setdefault(key, []).append((j, d))
+    for j, (y, (_, ints)) in enumerate(zip(basis, scaled)):
+        for key, n in zip(y.terms, ints):
+            index.setdefault(key, []).append((j, n))
     rows = []
-    for x in basis:
-        row: dict[int, Fraction] = {}
-        for key, c in x.terms.items():
+    for x, (di, ints) in zip(basis, scaled):
+        acc: dict[int, int] = {}
+        for key, m in zip(x.terms, ints):
             sign, dual = _dual_key(x.space, key)
-            matches = index.get(dual, ())
-            _add_into(row, ((j, c * d if sign > 0 else -c * d) for j, d in matches))
-        rows.append(row)
+            if sign < 0:
+                m = -m
+            for j, n in index.get(dual, ()):
+                acc[j] = acc.get(j, 0) + m * n
+        rows.append({j: Fraction(n, di * scaled[j][0]) for j, n in acc.items() if n})
     return rows
 
 
@@ -87,31 +95,29 @@ def phi(s: Multivector, t: Multivector) -> Sym2Element:
     On decomposables u0^u1^u2 and v0^v1^v2 it is the double cyclic sum
     over i, j in Z/3 of q2(u_i ^ u_{i+1}, v_j ^ v_{j+1}) u_{i+2} v_{j+2};
     the cyclic structure makes it well defined on exterior classes.
-    """
-    _check_degree(s, 3, "phi")
-    _check_degree(t, 3, "phi")
-    _same_space(s, t, Multivector)
-    return _sym2(s.space, _add_into({}, _phi_terms(s, t)))
-
-
-def _phi_terms(s: Multivector, t: Multivector):
-    """The (key, coefficient) contributions to phi(s, t), by dual slot pairs.
 
     On basis vectors, q2(u_i ^ u_{i+1}, v_j ^ v_{j+1}) is the sign product
     e_i e_{i+1} of the dual map when (v_j, v_{j+1}) = (u_i*, u_{i+1}*),
     its negative when (v_j, v_{j+1}) is that pair reversed, and 0
     otherwise.  So t is indexed once by ordered slot pair in both
     orientations, the reversed one with its coefficient negated, and
-    each slot pair (u_i, u_{i+1}) of s costs one lookup.
+    each slot pair (u_i, u_{i+1}) of s costs one lookup.  Both forms are
+    scaled once to ints over their common denominators; the products are
+    summed as ints, with one Fraction per nonzero output key.
     """
+    _check_degree(s, 3, "phi")
+    _check_degree(t, 3, "phi")
+    _same_space(s, t, Multivector)
+    ds, ns = _over_common_denominator(s.terms.values())
+    dt, nt = _over_common_denominator(t.terms.values())
     pairs: dict[tuple[int, int], list] = {}
-    for (v0, v1, v2), d in t.terms.items():
-        minus_d = -d
+    for (v0, v1, v2), d in zip(t.terms, nt):
         for p, q, r in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1)):
             pairs.setdefault((p, q), []).append((r, d))
-            pairs.setdefault((q, p), []).append((r, minus_d))
+            pairs.setdefault((q, p), []).append((r, -d))
     duals = s.space._duals
-    for u, c in s.terms.items():
+    acc: dict = {}
+    for u, c in zip(s.terms, ns):
         for p, q, w in ((u[0], u[1], u[2]), (u[1], u[2], u[0]), (u[2], u[0], u[1])):
             dp, ep = duals[p]
             dq, eq = duals[q]
@@ -120,7 +126,9 @@ def _phi_terms(s: Multivector, t: Multivector):
                 continue
             signed_c = c if ep == eq else -c
             for x, d in matches:
-                yield (w, x) if w <= x else (x, w), signed_c * d
+                key = (w, x) if w <= x else (x, w)
+                acc[key] = acc.get(key, 0) + signed_c * d
+    return _sym2(s.space, _over_ints(acc, ds * dt))
 
 
 class Transvection:
@@ -162,26 +170,34 @@ class Transvection:
         c, sign = self.direction, -1 if inverse else 1
         _same_space(x, c, Multivector)
         # p_i = e_i . c is nonzero only at i = dual(j) for a term c_j e_j of c,
-        # where it is -(e_j . e_i) c_j; the inverse negates it
+        # where it is -(e_j . e_i) c_j; the inverse negates it.  The contraction
+        # pass runs on ints: p_i = P_i / dc and x = sum n e_key / dx
+        dc, nc = _over_common_denominator(c.terms.values())
+        dx, nx = _over_common_denominator(x.terms.values())
         p = {}
-        for (j,), cj in c.terms.items():
+        for (j,), cj in zip(c.terms, nc):
             i, e = self.space._duals[j]
             p[i] = cj if e * sign < 0 else -cj
+        den = dx * dc
         if isinstance(x, Multivector):
-            contracted: dict = {}
-            for key, a in x.terms.items():
-                _add_into(contracted, ((key[:n] + key[n + 1:], -a * p[i] if n % 2 else a * p[i])
-                                       for n, i in enumerate(key) if i in p))
+            acc: dict = {}
+            for key, a in zip(x.terms, nx):
+                for n, i in enumerate(key):
+                    if i in p:
+                        k = key[:n] + key[n + 1:]
+                        acc[k] = acc.get(k, 0) + (-a * p[i] if n % 2 else a * p[i])
             if x.degree == 1:  # i_c(x) is the scalar x . c, absent when it is 0
-                return x + contracted[()] * c if contracted else x
-            return x + wedge(c, _multivector(self.space, x.degree - 1, contracted))
+                return x + Fraction(acc[()], den) * c if acc.get(()) else x
+            return x + wedge(c, _multivector(self.space, x.degree - 1, _over_ints(acc, den)))
         w: dict = {}
-        s = Fraction(0)
-        for (i, j), a in x.terms.items():
+        s = 0
+        for (i, j), a in zip(x.terms, nx):
             pi, pj = p.get(i, 0), p.get(j, 0)
-            _add_into(w, (((i,), a * pj), ((j,), a * pi)))
+            w[(i,)] = w.get((i,), 0) + a * pj
+            w[(j,)] = w.get((j,), 0) + a * pi
             s += a * pi * pj
-        return x + sym_product(c, _multivector(self.space, 1, w)) + s * sym_product(c, c)
+        return (x + sym_product(c, _multivector(self.space, 1, _over_ints(w, den)))
+                + Fraction(s, den * dc) * sym_product(c, c))
 
     def matrix(self, inverse: bool = False) -> list[list[Fraction]]:
         """Matrix of the action on the space; entry [i][j] is coord i of T(e_j).

@@ -64,9 +64,9 @@ class SubsurfaceSpec:
         vecs = [("d", scaled(d))]
         for n, (e, f) in enumerate(pairs, start=1):
             for v, name in ((e, f"e{n}"), (f, f"f{n}")):
-                if not isinstance(v, Multivector) or v.degree != 1 or v.space != d.space:
-                    raise InvalidSubsurface(
-                        f"{name} must be a degree-1 Multivector in the same space as d")
+                _check_vector(v, name)
+                if v.space != d.space:
+                    raise InvalidSubsurface(f"{name} must be in the same space as d")
                 vecs.append((name, scaled(v)))
         # d first, so its checks come before those among the pairs
         for i, (namex, x) in enumerate(vecs):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import Multivector, Sym2Element, SymplecticSpace
+from .exterior import Multivector, Sym2Element, SymplecticSpace, _check_degree_range
 
 SYM_SEPARATOR = "·"  # middle dot
 
@@ -139,9 +139,10 @@ def parse_multivector(space: SymplecticSpace, text: str,
 
 
 def _wedge_degree(degree: int) -> int:
-    if degree not in (1, 2, 3):
-        raise ParseError(f"degree must be 1, 2 or 3, got {degree}")
-    return degree
+    try:
+        return _check_degree_range(degree)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_sym2(space: SymplecticSpace, text: str) -> Sym2Element:

@@ -54,8 +54,11 @@ class TestSubsurfaceSpec:
         for bad in (wedge(sp.a(1), sp.a(2)), delta(sp)):
             with pytest.raises(TypeError, match="^boundary class must be a degree-1 Multivector$"):
                 SubsurfaceSpec(bad, [])
-            with pytest.raises(InvalidSubsurface, match="^f1 must be a degree-1 Multivector"):
+            with pytest.raises(TypeError, match="^f1 must be a degree-1 Multivector$"):
                 SubsurfaceSpec(sp.a(1), [(sp.a(2), bad)])
+        other = SymplecticSpace(4)
+        with pytest.raises(InvalidSubsurface, match="^e1 must be in the same space as d$"):
+            SubsurfaceSpec(sp.a(1), [(other.a(2), other.b(2))])
 
     def test_boundary_must_be_orthogonal_to_pairs(self):
         sp = SymplecticSpace(2)
