@@ -67,10 +67,11 @@ def _run_decompose(cfg: JobConfig) -> ReportDocument:
     return report
 
 
-# form name -> (pairing, input degree, verdict on swapping the inputs)
-_FORMS = {"omega3": (omega3, 3, "omega3-antisymmetric-on-inputs"),
-          "q2": (q2, 2, "q2-symmetric-on-inputs"),
-          "phi": (phi, 3, "phi-symmetric-on-inputs")}
+# form name -> (input degree, verdict on swapping the inputs).  The name is
+# also the pairing's name in this module, looked up when the job runs.
+_FORMS = {"omega3": (3, "omega3-antisymmetric-on-inputs"),
+          "q2": (2, "q2-symmetric-on-inputs"),
+          "phi": (3, "phi-symmetric-on-inputs")}
 
 
 def _run_forms(cfg: JobConfig) -> ReportDocument:
@@ -78,7 +79,8 @@ def _run_forms(cfg: JobConfig) -> ReportDocument:
     form = cfg.arg("form")
     if form not in _FORMS:
         raise cfg.arg_error("form", f"unknown form {form!r}; choose omega3, q2 or phi")
-    pairing, degree, verdict = _FORMS[form]
+    degree, verdict = _FORMS[form]
+    pairing = globals()[form]
     lname, left = _named_multivector(cfg, "left", degree)
     rname, right = _named_multivector(cfg, "right", degree)
     report.inputs = {"form": form,

@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
 
-from .linalg import independent_row_indices, rank_of_rows
+from .linalg import _over_common_denominator, independent_row_indices, rank_of_rows
 
-_LABEL_RE = re.compile(r"^([ab])([1-9][0-9]*)$")
+_LABEL_RE = re.compile(r"([ab])([1-9][0-9]*)")
 
 
 def as_rational(x) -> Fraction:
@@ -73,7 +72,7 @@ class SymplecticSpace:
         return f"a{i + 1}" if i < self.genus else f"b{i - self.genus + 1}"
 
     def index(self, label: str) -> int:
-        m = _LABEL_RE.match(label)
+        m = _LABEL_RE.fullmatch(label)
         if m is None:
             raise ValueError(f"not a basis label: {label!r}")
         handle = int(m.group(2))
@@ -261,7 +260,8 @@ def _add_into(out: dict, items) -> dict:
     constructors and by addition.  The product kernels (wedge,
     sym_product, contraction3, split_primitive, the determinant pairings,
     and in forms phi, omega3_gram_rows and Transvection.apply) sum Python
-    ints over a common denominator instead and finish with _over_ints.
+    ints over a common denominator instead and finish with _over_ints, and
+    linalg.Echelon eliminates on rows scaled to ints with unimodular steps.
     """
     for key, c in items:
         old = out.get(key)
@@ -444,22 +444,6 @@ def wedge(x, y, *more) -> Multivector:
     return _multivector(x.space, degree, _over_ints(acc, dx * dy))
 
 
-def _over_common_denominator(coeffs) -> tuple[int, list[int]]:
-    """(D, [n, ...]) with each Fraction of the collection equal to n / D.
-
-    D is the least common multiple of the denominators, so integral
-    coefficients give D = 1 and their numerators unchanged.
-    """
-    den = 1
-    for c in coeffs:
-        q = c.denominator
-        if den % q:
-            den = den // gcd(den, q) * q
-    if den == 1:
-        return 1, [c.numerator for c in coeffs]
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def _merge(s: tuple[int, ...], t: tuple[int, ...]):
     """The sorted key of s + t and its sort sign, or None when s and t meet.
 
@@ -590,7 +574,7 @@ def isotropic_spanning_wedges(space: SymplecticSpace) -> list[Multivector]:
     for t in space.basis_tuples(3):
         if any(space.basis_pairing(p, q) for p, q in itertools.combinations(t, 2)):
             continue
-        out.append(Multivector.basis(space, t))
+        out.append(_multivector(space, 3, {t: Fraction(1)}))
     for k in range(space.dim):
         handle = k % g
         others = [h for h in range(g) if h != handle]
@@ -603,6 +587,6 @@ def isotropic_spanning_wedges(space: SymplecticSpace) -> list[Multivector]:
 
 def primitive_basis(space: SymplecticSpace) -> list[Multivector]:
     """A basis of the primitive summand, extracted from projector images."""
-    images = [project_primitive(Multivector.basis(space, t))
+    images = [project_primitive(_multivector(space, 3, {t: Fraction(1)}))
               for t in space.basis_tuples(3)]
     return [images[i] for i in independent_row_indices([x.terms for x in images])]

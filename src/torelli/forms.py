@@ -30,8 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import (Multivector, Sym2Element, _check_vector, _dual_key,
-                       _multivector, _over_common_denominator, _over_ints,
-                       _pair_dual_keys, _same_space, _sym2, sym_product, wedge)
+                       _multivector, _over_ints, _pair_dual_keys, _same_space,
+                       _sym2, sym_product, wedge)
+from .linalg import _over_common_denominator
 
 
 def _check_degree(x, degree: int, name: str):

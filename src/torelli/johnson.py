@@ -14,10 +14,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import (Multivector, SymplecticSpace, _check_vector,
-                       _over_common_denominator, delta, project_primitive,
-                       wedge)
+from .exterior import (Multivector, SymplecticSpace, _check_vector, delta,
+                       project_primitive, wedge)
 from .forms import Transvection
+from .linalg import _over_common_denominator
 
 
 class InvalidSubsurface(ValueError):

@@ -3,8 +3,9 @@
 `bench/tracing.py` wraps its targets by name, a function in every torelli
 namespace that binds it and a class on its constructor.  A target that
 changes kind (a class that becomes a function, say) must still be
-wrapped, counted and restored, so one fixture job and one round of the
-invariants suite run here under the tracer, loaded by path and unchanged.
+wrapped, counted and restored, so fixture jobs, an audit and one round
+of the invariants suite run here under the tracer, loaded by path and
+unchanged.
 """
 
 from __future__ import annotations
@@ -40,11 +41,17 @@ def test_traced_fixture_job_and_invariants():
         assert report.to_text()
         verdicts = run_invariant_checks(3, 0, 1)
         assert all(v.passed for v in verdicts), [v.name for v in verdicts if not v.passed]
+        for command, kwargs in (("forms", {"fixture": "paper-figure-1"}),
+                                ("audit", {"genus": 3})):
+            report = run_job(build_config(command, **kwargs))
+            assert all(v.passed for v in report.verdicts), command
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
     assert metrics["exterior.Vector.calls"] > 0
     assert metrics["forms.Transvection.apply.calls"] > 0
+    assert metrics["forms.phi.calls"] > 0  # the forms fixture's form, run by name
+    assert metrics["linalg.independent_row_indices.calls"] > 0
     assert {m: metrics[f"{m}.errors"] for m in tracing.MODULES} == dict.fromkeys(
         tracing.MODULES, 0)
     after = namespace_snapshot(modules)

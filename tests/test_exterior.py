@@ -58,6 +58,9 @@ class TestSpace:
             sp.index("a4")
         with pytest.raises(ValueError):
             sp.index("c1")
+        for padded in ("a1\n", " a1", "a1 "):
+            with pytest.raises(ValueError):
+                sp.index(padded)
 
     def test_basis_pairing_table(self):
         sp = SymplecticSpace(2)

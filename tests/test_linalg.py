@@ -1,8 +1,9 @@
-"""Sparse exact elimination against the dense oracle in conftest."""
+"""Sparse exact elimination against the dense oracle in conftest, and Echelon.index."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from conftest import oracle_independent_rows
 from torelli import (Multivector, SymplecticSpace, omega3, primitive_basis,
                      project_primitive)
 from torelli.exterior import isotropic_spanning_wedges
-from torelli.linalg import independent_row_indices, rank_of_rows
+from torelli.linalg import Echelon, independent_row_indices, rank_of_rows
 
 
 def _dense(rows: list[dict], columns: list) -> list[list[Fraction]]:
@@ -44,11 +45,14 @@ def test_primitive_rows_match_oracle(genus, family):
     assert len(kept) == len(columns) - sp.dim
 
 
-def test_omega3_gram_rows_match_oracle():
-    basis = primitive_basis(SymplecticSpace(3))
+@pytest.mark.parametrize("genus", [3, 4])
+def test_omega3_gram_rows_match_oracle(genus):
+    size = math.comb(2 * genus, 3) - 2 * genus  # 14 and 48
+    basis = primitive_basis(SymplecticSpace(genus))
     gram = [[omega3(x, y) for y in basis] for x in basis]
+    assert any(v.denominator > 1 for row in gram for v in row)
     as_dicts = [{j: v for j, v in enumerate(row) if v} for row in gram]
-    assert _check(as_dicts, list(range(len(basis)))) == list(range(14))
+    assert _check(as_dicts, list(range(len(basis)))) == list(range(size))
 
 
 def _random_rows(rng: random.Random, ncols: int, nrows: int) -> list[dict]:
@@ -106,8 +110,8 @@ def test_zero_entries_in_dict_rows_are_ignored():
 
 
 def test_input_rows_are_not_modified():
-    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)},
-            {1: Fraction(1, 3)}]
+    rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(3), 1: Fraction(6)},
+            {1: Fraction(1, 3)}]  # the second row takes the gcd step
     before = [dict(r) for r in rows]
     assert independent_row_indices(rows) == [0, 2]
     assert rows == before
@@ -118,3 +122,49 @@ def test_integer_entries_stay_exact():
     nearly = Fraction(1, 3) + Fraction(1, 10**30)
     assert independent_row_indices([{0: 3, 1: 1}, {0: 1, 1: nearly}]) == [0, 1]
     assert independent_row_indices([{0: 3, 1: 1}, {0: 1, 1: Fraction(1, 3)}]) == [0]
+
+
+def _index(rows: list[dict]) -> int:
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.index()
+
+
+def test_add_reports_rank_increase():
+    echelon = Echelon()
+    assert [echelon.add(r) for r in ({0: 2}, {0: 3}, {}, {0: 1, 1: 5}, {1: 7})] == [
+        True, False, False, True, False]
+
+
+@pytest.mark.parametrize("rows, index", [
+    ([{0: 2}, {1: 1}, {2: 1}], 2),  # 2 e_1 with unit rows
+    ([{0: 1, 1: 1}, {0: 1, 1: 2}], 1),  # unimodular, divisible leads
+    ([{0: 2, 1: 1}, {0: 3, 1: 2}], 1),  # unimodular, leads 2 and 3
+    ([{0: 2}, {0: 3}, {1: 1}], 1),  # only the gcd step makes e_1 a pivot
+    ([{0: 4, 1: 2}, {0: 6, 1: 1}], 8),  # det -8
+    ([{(0, 1): -6, (0, 2): 4}, {(0, 1): 10, (1, 2): 1}, {(0, 2): 1}], 6),
+], ids=["2e1", "unimodular-divisible", "unimodular-gcd", "gcd-step", "det8",
+        "tuple-keys"])
+def test_index_of_integral_lattices(rows, index):
+    assert _index(rows) == index
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_index_of_a_random_integral_basis_is_its_determinant(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    while True:
+        dense = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        det = _determinant(dense)
+        if det:
+            break
+    assert _index([{j: v for j, v in enumerate(row) if v} for row in dense]) == abs(det)
+
+
+def _determinant(m: list[list[int]]) -> int:
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
